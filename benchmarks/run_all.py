@@ -423,8 +423,8 @@ def aggregate_checksum(report) -> str:
 
 
 def bench_atlas(entities: int, dataset: str) -> dict:
-    """The sharded population scan (serial, vectorised kernel when
-    numpy is present), aggregate checksummed."""
+    """The sharded population scan (serial, vectorised kernel),
+    aggregate checksummed."""
     from repro.atlas import find_dataset, scan_dataset
 
     spec = find_dataset(dataset)
@@ -447,7 +447,7 @@ def bench_parallel(entities: int) -> dict:
     serial and pooled scans fails the bench outright, which is the
     bit-identity gate CI runs."""
     from repro.atlas import find_dataset, scan_dataset
-    from repro.parallel import resolve_workers, vector_available
+    from repro.parallel import resolve_workers
 
     spec = find_dataset("open")
     workers = resolve_workers("auto")
@@ -465,7 +465,6 @@ def bench_parallel(entities: int) -> dict:
     speedup = serial_wall / pooled_wall if pooled_wall > 0 else 0.0
     return _result("parallel", serial_wall, entities, "entities/s",
                    checksum=checksum, workers=workers,
-                   vector=vector_available(),
                    pooled_wall_s=round(pooled_wall, 4),
                    pooled_rate=round(entities / pooled_wall, 1)
                    if pooled_wall > 0 else 0.0,

@@ -465,8 +465,8 @@ def _build_perf(ctx: Context,
                  "full sizes, single core; `dns_wire` reflects the "
                  "memoised TXID-storm codec, `campaign_serial` the "
                  "Table 6 sweep (3 scenarios x 32 seeds), `atlas_*` "
-                 "serial 20K-entity shard scans (vectorised kernel "
-                 "when numpy is present).*")
+                 "serial 20K-entity shard scans (vectorised "
+                 "kernel).*")
     parallel = benches.get("parallel")
     if parallel is not None:
         lines.extend([

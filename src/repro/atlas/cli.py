@@ -196,7 +196,6 @@ def _run_scan(args: argparse.Namespace
             spec, seed=args.seed, entities=args.entities,
             shards=args.shards, workers=args.workers,
             executor=args.executor, store=store,
-            kernel=getattr(args, "kernel", "auto"),
         )
         reports.append(report)
         print(f"scanned {report.dataset}: {report.entities:,} entities, "
@@ -349,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "schedulable CPUs (env: REPRO_WORKERS)")
         p.add_argument("--executor", choices=("process", "serial"),
                        default="process")
-        p.add_argument("--kernel", default="auto",
-                       choices=("auto", "vector", "python", "scalar"),
-                       help="per-shard scan implementation (all "
-                            "bit-identical; default picks the "
-                            "vectorised kernel when numpy is present)")
         p.add_argument("--store", default=None,
                        help="shard-result store directory (enables resume)")
 

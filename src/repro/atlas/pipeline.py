@@ -23,11 +23,7 @@ from typing import Any, Callable, Iterable
 from repro.atlas.aggregate import ScanAggregate
 from repro.obs import OBS
 from repro.obs.profile import STAGE_EDGES_MS, stage
-from repro.parallel.kernel import (
-    VectorScanner,
-    scan_range,
-    vector_available,
-)
+from repro.parallel.kernel import VectorScanner, check_kernel, scan_range
 from repro.parallel.scheduler import run_stealing
 from repro.parallel.workers import resolve_workers
 from repro.atlas.shards import (
@@ -96,10 +92,9 @@ def _scan_shard(task: tuple[DatasetSpec, Any, ShardRange, str, str]
                 ) -> ShardRecord:
     """Worker entry point: scan one shard into an aggregate.
 
-    Dispatches to the batch-vectorised columnar kernel (or its pure-
-    Python columnar fallback) — bit-identical to streaming the shard's
-    entities through the serial observers, which ``kernel="scalar"``
-    still does.
+    Runs the batch-vectorised columnar kernel — bit-identical to
+    streaming the shard's entities through the serial observers, which
+    ``kernel="scalar"`` still does.
     """
     spec, seed, shard, spec_hash, kernel = task
     kind = dataset_kind(spec)
@@ -153,18 +148,12 @@ def _scan_missing_serial(spec, seed, missing: list[ShardRange],
             runs[-1].append(shard)
         else:
             runs.append([shard])
-    scanner = VectorScanner(spec, seed) if kernel in ("auto", "vector") \
-        and vector_available() else None
+    scanner = VectorScanner(spec, seed, scalar=kernel == "scalar")
     for run in runs:
         sinks = [(shard.lo, shard.hi, ScanAggregate(kind=kind))
                  for shard in run]
         started = time.perf_counter()
-        if scanner is not None:
-            scanner.scan_spans(sinks)
-        else:
-            for cut_lo, cut_hi, aggregate in sinks:
-                scan_range(spec, seed, cut_lo, cut_hi, aggregate,
-                           kernel=kernel)
+        scanner.scan_spans(sinks)
         elapsed = time.perf_counter() - started
         total = sum(shard.hi - shard.lo for shard in run) or 1
         for shard, (_, _, aggregate) in zip(run, sinks):
@@ -223,9 +212,9 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
     extrapolated.  Pass a smaller count for sampled runs.
 
     ``workers`` accepts a count, ``None`` (capped default) or
-    ``"auto"`` (every schedulable CPU); ``kernel`` picks the per-shard
-    scan implementation (``"auto"``/``"vector"``/``"python"``/
-    ``"scalar"`` — all bit-identical, see :mod:`repro.parallel.kernel`).
+    ``"auto"`` (every schedulable CPU); ``kernel`` is ``"auto"`` (the
+    vector kernel) or ``"scalar"`` (the per-entity reference) — both
+    bit-identical, see :mod:`repro.parallel.kernel`.
 
     ``keep_entities`` retains the generated entities on the report (for
     the sampled experiment paths that also need per-entity access, e.g.
@@ -236,6 +225,7 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
     if executor not in EXECUTORS:
         raise ValueError(
             f"unknown executor {executor!r}; pick one of {EXECUTORS}")
+    check_kernel(kernel)
     if entities is not None and entities < 0:
         raise ValueError(f"entities must be >= 0, got {entities}")
     total = min(entities, spec.full_size) if entities is not None \
@@ -371,13 +361,11 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
 def scan_many(specs: Iterable[DatasetSpec], seed: int | str = 0,
               entities: int | None = None, shards: int = 16,
               workers: int | str | None = None, executor: str = "process",
-              store: AtlasStore | None = None,
-              kernel: str = "auto") -> list[AtlasScanReport]:
+              store: AtlasStore | None = None) -> list[AtlasScanReport]:
     """Scan several datasets, reusing one configuration."""
     return [
         scan_dataset(spec, seed=seed, entities=entities, shards=shards,
-                     workers=workers, executor=executor, store=store,
-                     kernel=kernel)
+                     workers=workers, executor=executor, store=store)
         for spec in specs
     ]
 

@@ -41,11 +41,6 @@ class AblationCell:
         """True when reality agrees with the Section 6 claim."""
         return self.attack_succeeded != self.expected_defeated
 
-    @property
-    def mitigation(self) -> str:
-        """Deprecated alias: the old cell field name for the stack key."""
-        return self.defense
-
 
 def _attack_friendly_overrides(attack: str) -> dict[str, Any]:
     """Scenario overrides that make ``attack`` succeed un-defended.
@@ -128,10 +123,9 @@ def evaluate_defense_matrix(stacks: Sequence[DefenseStack],
                             store: Any = None) -> list[AblationCell]:
     """Run the full (attack x stack) grid on one campaign pool.
 
-    Cell seeds derive from ``(seed, attack, stack.key)`` — the same
-    strings the old mitigation grid used for single-defense stacks, so
-    old-vs-new runs are bit-comparable.  ``store`` forwards to the
-    campaign: grid cells already stored are loaded instead of re-run.
+    Cell seeds derive from ``(seed, attack, stack.key)``.  ``store``
+    forwards to the campaign: grid cells already stored are loaded
+    instead of re-run.
 
     The grid defaults to the shared-world process executor: every cell
     is a distinct scenario, so the old per-batch pickling shipped the

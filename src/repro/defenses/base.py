@@ -6,8 +6,7 @@ one behaviour: ``apply(world_config) -> world_config``, a pure transform
 over the :class:`WorldConfig` value that parameterises
 :func:`repro.testbed.standard_testbed`.  Nothing is ever mutated — not
 the incoming config, and not any resolver/nameserver/host config the
-caller supplied (the bug class the old ``Mitigation.testbed_kwargs``
-had).
+caller supplied.
 
 A :class:`DefenseStack` composes defenses across layers (``ip`` /
 ``transport`` / ``dns`` / ``bgp`` / ``app``).  Two rules make stacks

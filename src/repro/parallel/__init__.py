@@ -3,7 +3,8 @@
 Three pillars, all bit-identical to the serial reference paths:
 
 * :mod:`repro.parallel.kernel` — batch-vectorised columnar atlas scan
-  (lockstep MT19937 over numpy, pure-Python ``array`` fallback),
+  (lockstep MT19937 over numpy, checked against a per-entity scalar
+  reference),
 * :mod:`repro.parallel.scheduler` + :mod:`repro.parallel.workers` —
   work-stealing shard dispatch and the shared ``--workers auto``
   resolver,
@@ -41,7 +42,7 @@ from repro.parallel.claim import (
     merge_claimed,
     release_shard,
 )
-from repro.parallel.kernel import VectorScanner, scan_range, vector_available
+from repro.parallel.kernel import VectorScanner, scan_range
 from repro.parallel.scheduler import run_stealing
 from repro.parallel.workers import cpu_count, resolve_workers
 
@@ -56,5 +57,4 @@ __all__ = [
     "resolve_workers",
     "run_stealing",
     "scan_range",
-    "vector_available",
 ]

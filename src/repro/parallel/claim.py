@@ -124,7 +124,7 @@ def release_shard(store: AtlasStore, spec_hash: str,
 def claim_worker(spec: DatasetSpec, seed: int | str = 0,
                  entities: int | None = None, shards: int = 16,
                  store: AtlasStore | None = None, worker: str = "",
-                 ttl: float = DEFAULT_TTL, kernel: str = "auto",
+                 ttl: float = DEFAULT_TTL,
                  max_shards: int | None = None) -> ClaimOutcome:
     """Run one claim-mode worker until no shard is left to claim.
 
@@ -165,8 +165,7 @@ def claim_worker(spec: DatasetSpec, seed: int | str = 0,
                 continue
             claimed_any = True
             started = time.perf_counter()
-            aggregate = scan_range(spec, seed, shard.lo, shard.hi,
-                                   kernel=kernel)
+            aggregate = scan_range(spec, seed, shard.lo, shard.hi)
             record = ShardRecord(
                 spec_hash=spec_hash, shard_id=shard.shard_id,
                 dataset=spec.key, kind=kind, lo=shard.lo, hi=shard.hi,
@@ -195,8 +194,7 @@ def claim_worker(spec: DatasetSpec, seed: int | str = 0,
 
 def merge_claimed(spec: DatasetSpec, seed: int | str = 0,
                   entities: int | None = None, shards: int = 16,
-                  store: AtlasStore | None = None,
-                  kernel: str = "auto"):
+                  store: AtlasStore | None = None):
     """Coordinator merge: assemble the report from the claimed store.
 
     Any shard still missing (every worker died before finishing it) is
@@ -211,5 +209,4 @@ def merge_claimed(spec: DatasetSpec, seed: int | str = 0,
     from repro.atlas.pipeline import scan_dataset
 
     return scan_dataset(spec, seed=seed, entities=entities,
-                        shards=shards, executor="serial", store=store,
-                        kernel=kernel)
+                        shards=shards, executor="serial", store=store)

@@ -24,7 +24,6 @@ from repro.atlas.pipeline import scan_dataset
 from repro.atlas.shards import find_dataset
 from repro.atlas.store import AtlasStore
 from repro.parallel.claim import DEFAULT_TTL, claim_worker, merge_claimed
-from repro.parallel.kernel import vector_available
 from repro.parallel.workers import (cpu_count, parse_workers,
                                     resolve_workers)
 
@@ -53,7 +52,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     report = scan_dataset(
         spec, seed=args.seed, entities=args.entities, shards=args.shards,
         workers=args.workers, executor=args.executor, store=store,
-        kernel=args.kernel,
     )
     _print_report(report, "scan")
     return 0
@@ -65,7 +63,7 @@ def _cmd_claim(args: argparse.Namespace) -> int:
     outcome = claim_worker(
         spec, seed=args.seed, entities=args.entities, shards=args.shards,
         store=store, worker=args.worker, ttl=args.ttl,
-        kernel=args.kernel, max_shards=args.max_shards,
+        max_shards=args.max_shards,
     )
     print(f"claim worker {outcome.worker}: scanned "
           f"{len(outcome.scanned)} shards, skipped (leased elsewhere) "
@@ -79,8 +77,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     spec = find_dataset(args.dataset)
     store = AtlasStore(args.store)
     report = merge_claimed(spec, seed=args.seed, entities=args.entities,
-                           shards=args.shards, store=store,
-                           kernel=args.kernel)
+                           shards=args.shards, store=store)
     _print_report(report, "merge")
     return 0
 
@@ -91,22 +88,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with stage("parallel.bench", executor="serial") as serial_timer:
         serial = scan_dataset(spec, seed=args.seed,
                               entities=args.entities,
-                              shards=args.shards, executor="serial",
-                              kernel=args.kernel)
+                              shards=args.shards, executor="serial")
     serial_wall = serial_timer.elapsed
     with stage("parallel.bench", executor="process") as parallel_timer:
         parallel = scan_dataset(spec, seed=args.seed,
                                 entities=args.entities,
                                 shards=args.shards, workers=workers,
-                                executor="process",
-                                kernel=args.kernel)
+                                executor="process")
     parallel_wall = parallel_timer.elapsed
     serial_sum = aggregate_checksum(serial)
     parallel_sum = aggregate_checksum(parallel)
     speedup = serial_wall / parallel_wall if parallel_wall > 0 else 0.0
     print(f"bench {spec.key}: {serial.entities:,} entities, "
           f"{args.shards} shards, {workers} workers "
-          f"(cpus: {cpu_count()}, vector: {vector_available()})")
+          f"(cpus: {cpu_count()})")
     print(f"  serial:   {serial_wall:.2f}s "
           f"({serial.entities / serial_wall:,.0f}/s)")
     print(f"  parallel: {parallel_wall:.2f}s "
@@ -133,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--entities", type=int, default=None)
         p.add_argument("--shards", type=int, default=16)
         p.add_argument("--seed", type=parse_seed, default=0)
-        p.add_argument("--kernel", default="auto",
-                       choices=("auto", "vector", "python", "scalar"))
         p.add_argument("--store", required=require_store, default=None,
                        help="atlas shard store directory")
 

@@ -28,39 +28,29 @@ the vector path never silently mis-seeds them.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:          # pragma: no cover - exercised via HAVE_NUMPY
-    np = None
-
-HAVE_NUMPY = np is not None
+import numpy as np
 
 N_MT = 624          # state words per stream
 M_MT = 397          # twist offset
 _PARTIAL_LIMIT = N_MT - M_MT  # rows producible before a full twist: 227
 
-if HAVE_NUMPY:
-    _MATRIX_A = np.uint32(0x9908B0DF)
-    _UPPER = np.uint32(0x80000000)
-    _LOWER = np.uint32(0x7FFFFFFF)
-    _ONE = np.uint32(1)
+_MATRIX_A = np.uint32(0x9908B0DF)
+_UPPER = np.uint32(0x80000000)
+_LOWER = np.uint32(0x7FFFFFFF)
+_ONE = np.uint32(1)
 
-    def _init_genrand_column() -> "np.ndarray":
-        """The init_genrand(19650218) state shared by every stream."""
-        init = [19650218]
-        for i in range(1, N_MT):
-            prev = init[i - 1]
-            init.append(
-                (1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
-        return np.array(init, dtype=np.uint32)
 
-    _INIT_COLUMN = None
+def _init_genrand_column() -> "np.ndarray":
+    """The init_genrand(19650218) state shared by every stream."""
+    init = [19650218]
+    for i in range(1, N_MT):
+        prev = init[i - 1]
+        init.append(
+            (1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
+    return np.array(init, dtype=np.uint32)
 
-    def _init_column() -> "np.ndarray":
-        global _INIT_COLUMN
-        if _INIT_COLUMN is None:
-            _INIT_COLUMN = _init_genrand_column()
-        return _INIT_COLUMN
+
+_INIT_COLUMN = _init_genrand_column()
 
 
 def key_words(materials: "np.ndarray | bytes") -> "np.ndarray":
@@ -85,7 +75,7 @@ def seed_states(key: "np.ndarray") -> "np.ndarray":
     """
     key_len, batch = key.shape
     mt = np.empty((N_MT, batch), dtype=np.uint32)
-    mt[:] = _init_column()[:, None]
+    mt[:] = _INIT_COLUMN[:, None]
     # key[j] + j is loop-invariant per key row; hoist the add.
     keyj = [key[j] + np.uint32(j) for j in range(key_len)]
     scratch = np.empty(batch, dtype=np.uint32)

@@ -80,6 +80,19 @@ class ServeHandler(BaseHTTPRequestHandler):
     # timeout in setup(); handle_one_request() treats a timeout as a
     # dropped connection and closes it.
     timeout = REQUEST_TIMEOUT
+    # Buffer the response so headers and body leave in one write: with
+    # the stdlib's unbuffered default they go as two small segments,
+    # and on a keep-alive connection the second waits for the client's
+    # delayed ACK (Nagle), ~40 ms per response.  handle_one_request()
+    # flushes after every request.
+    wbufsize = -1
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must reach the client before it sends the
+        # body, so it cannot wait in the response buffer.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.quiet:

@@ -3,8 +3,8 @@
 Covers the stack value rules (canonical ordering, knob conflicts,
 pickling), the purity of ``apply`` (no caller config is ever mutated),
 ROV through real RPKI validation, planner defense-awareness, defended
-campaigns (executor bit-identity), old-Mitigation-vs-new-Defense
-parity, and the atlas deployment projection.
+campaigns (executor bit-identity), spot Section 6 ablation cells, and
+the atlas deployment projection.
 """
 
 import pickle
@@ -18,8 +18,6 @@ from repro.attacks.planner import AttackPlanner, TargetProfile
 from repro.bgp.prefix import Prefix
 from repro.bgp.rpki import Roa
 from repro.core.errors import NotApplicableError
-from repro.countermeasures import ALL_MITIGATIONS
-from repro.countermeasures.evaluation import evaluate_mitigation_matrix
 from repro.defenses import (
     ALL_DEFENSES,
     DEFENSE_DNSSEC,
@@ -39,7 +37,7 @@ from repro.defenses.ablation import (
     defended_scenario,
     evaluate_defense_matrix,
 )
-from repro.defenses.catalog import PmtuClamp, single_stacks
+from repro.defenses.catalog import PmtuClamp
 from repro.dns.nameserver import NameserverConfig
 from repro.dns.resolver import ResolverConfig
 from repro.netsim.host import HostConfig
@@ -83,13 +81,27 @@ class TestDefenseCatalog:
             assert defense.paper_section
             assert defense.describe().startswith(f"[{defense.layer}]")
 
-    def test_mitigation_keys_map_onto_defense_keys(self):
-        assert [m.key for m in ALL_MITIGATIONS] \
-            == [d.key for d in ALL_DEFENSES]
-        for mitigation in ALL_MITIGATIONS:
-            defense = mitigation.as_defense()
-            assert defense.key == mitigation.key
-            assert set(defense.defeats) == set(mitigation.defeats)
+
+class TestPolicies:
+    """Each Section 6 defense on its own: what it defeats and what it sets."""
+
+    def test_every_defense_names_a_defeated_attack(self):
+        for defense in ALL_DEFENSES:
+            assert defense.defeats
+            assert defense.paper_section
+
+    def test_single_defense_apply_sets_its_knobs(self):
+        defended = DefenseStack.of("0x20-encoding").apply(WorldConfig())
+        assert defended.resolver_config.use_0x20
+        defended = DefenseStack.of("block-fragments").apply(WorldConfig())
+        assert not defended.resolver_host_config.accept_fragments
+        defended = DefenseStack.of("dnssec").apply(WorldConfig())
+        assert defended.signed_target
+        assert defended.resolver_config.validates_dnssec
+
+    def test_unique_defense_keys(self):
+        keys = [defense.key for defense in ALL_DEFENSES]
+        assert len(keys) == len(set(keys))
 
 
 class TestDefenseStack:
@@ -200,37 +212,6 @@ class TestApplyPurity:
         assert defended.resolver_config.use_0x20
         # The materialised default mirrors the standard testbed's ACL.
         assert defended.resolver_config.allowed_clients == ["30.0.0.0/24"]
-
-    def test_mitigation_testbed_kwargs_no_longer_mutates(self):
-        resolver = ResolverConfig(allowed_clients=["30.0.0.0/24"])
-        ns = NameserverConfig()
-        resolver_host = HostConfig()
-        ns_host = HostConfig()
-        for mitigation in ALL_MITIGATIONS:
-            mitigation.testbed_kwargs(base_resolver=resolver, base_ns=ns,
-                                      base_resolver_host=resolver_host,
-                                      base_ns_host=ns_host)
-        assert resolver == ResolverConfig(allowed_clients=["30.0.0.0/24"])
-        assert ns == NameserverConfig()
-        assert resolver_host == HostConfig()
-        assert ns_host == HostConfig()
-
-    def test_mitigation_kwargs_match_defense_apply(self):
-        """Config-level old-vs-new parity across all eight defenses."""
-        for mitigation in ALL_MITIGATIONS:
-            kwargs = mitigation.testbed_kwargs()
-            defended = DefenseStack.of(mitigation.key).apply(WorldConfig())
-            base_resolver = ResolverConfig(
-                allowed_clients=["30.0.0.0/24"])
-            assert (defended.resolver_config or base_resolver) \
-                == kwargs["resolver_config"]
-            assert (defended.ns_config or NameserverConfig()) \
-                == kwargs["ns_config"]
-            assert (defended.resolver_host_config or HostConfig()) \
-                == kwargs["host_config"]
-            assert (defended.ns_host_config or HostConfig()) \
-                == kwargs["ns_host_config"]
-            assert defended.signed_target == kwargs["signed_target"]
 
 
 class TestRovDefense:
@@ -392,22 +373,6 @@ class TestDefendedCampaigns:
 
 
 class TestAblationGrid:
-    def test_old_vs_new_verdict_parity_full_grid(self):
-        """The legacy mitigation entry point and the defense-stack grid
-        agree cell-for-cell across the full 8x3 grid (same seeds, same
-        worlds; small budgets — equality is asserted, not success)."""
-        old = evaluate_mitigation_matrix(seed="parity",
-                                         saddns_iterations=25,
-                                         frag_attempts=25)
-        new = evaluate_defense_matrix(single_stacks(), seed="parity",
-                                      saddns_iterations=25,
-                                      frag_attempts=25)
-        assert [(c.attack, c.mitigation, c.attack_succeeded,
-                 c.expected_defeated) for c in old] \
-            == [(c.attack, c.defense, c.attack_succeeded,
-                 c.expected_defeated) for c in new]
-        assert len(old) == 24
-
     def test_rov_cell_goes_through_real_rpki(self):
         scenario = defended_scenario("HijackDNS",
                                      DefenseStack.of("rpki-rov"))
@@ -441,6 +406,33 @@ class TestAblationGrid:
             == "complementary"
         with pytest.raises(ValueError):
             classify_pair(DefenseStack.of("dnssec"))
+
+
+class TestSpotAblation:
+    """Single Section 6 cells (the full grid runs in bench_ablation)."""
+
+    def succeeds(self, attack, defense, seed, **budgets):
+        stack = DefenseStack.of(defense) if defense else DefenseStack()
+        scenario = defended_scenario(attack, stack, **budgets)
+        return scenario.run(seed=f"{seed}-{attack}-{stack.key}").success
+
+    def test_baseline_hijack_succeeds(self):
+        assert self.succeeds("HijackDNS", None, "spot-1")
+
+    def test_dnssec_blocks_hijack(self):
+        assert not self.succeeds("HijackDNS", "dnssec", "spot-2")
+
+    def test_randomized_icmp_blocks_saddns(self):
+        assert not self.succeeds("SadDNS", "randomized-icmp-limit",
+                                 "spot-3", saddns_iterations=25)
+
+    def test_block_fragments_blocks_fragdns(self):
+        assert not self.succeeds("FragDNS", "block-fragments", "spot-4",
+                                 frag_attempts=25)
+
+    def test_unknown_attack_rejected(self):
+        with pytest.raises(ValueError, match="unknown attack"):
+            defended_scenario("Nonsense")
 
 
 class TestDeploymentProjection:

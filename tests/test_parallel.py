@@ -1,10 +1,9 @@
 """The parallel execution plane: vector kernel, scheduler, claims.
 
 Everything here guards one invariant: every parallel path — the
-vectorised kernel, the pure-Python columnar fallback, work-stealing
-dispatch under adversarial completion order, multi-host claim mode
-with dead workers — produces aggregates bit-identical to the serial
-reference loop.
+vectorised kernel, work-stealing dispatch under adversarial completion
+order, multi-host claim mode with dead workers — produces aggregates
+bit-identical to the serial reference loop.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from repro.parallel.claim import (
     merge_claimed,
     release_shard,
 )
-from repro.parallel.kernel import scan_range, vector_available
-from repro.parallel.mt import HAVE_NUMPY, LockstepMT
+from repro.parallel.kernel import KERNELS, scan_range
+from repro.parallel.mt import LockstepMT
 from repro.parallel.scheduler import run_stealing
 from repro.parallel.workers import (
     DEFAULT_CAP,
@@ -59,7 +58,6 @@ def serial_aggregate(spec, seed, lo, hi) -> ScanAggregate:
 
 # -- lockstep MT19937 ---------------------------------------------------------
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestLockstepMT:
     def test_words_match_cpython_random(self):
         materials = [hashlib.sha256(bytes([i])).digest() for i in range(20)]
@@ -124,11 +122,12 @@ class TestResolveWorkers:
 
 # -- kernel bit-identity ------------------------------------------------------
 
-KERNELS = ["python"] + (["vector"] if vector_available() else [])
+#: Test ids name what each kernel value runs: "auto" is the vector kernel.
+KERNEL_IDS = {"auto": "vector", "scalar": "scalar"}
 
 
 class TestKernelBitIdentity:
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS.get)
     @pytest.mark.parametrize("dataset", ["open", "alexa", "cas",
                                          "rpki-domains"])
     def test_matches_serial(self, kernel, dataset):
@@ -137,7 +136,7 @@ class TestKernelBitIdentity:
         got = scan_range(spec, 0, 0, 400, kernel=kernel)
         assert checksum(got) == checksum(reference)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS.get)
     def test_offset_range_and_string_seed(self, kernel):
         spec = find_dataset("open")
         reference = serial_aggregate(spec, "pilot", 37, 391)
@@ -148,12 +147,22 @@ class TestKernelBitIdentity:
         spec = find_dataset("eduroam-domains")
         results = {kernel: checksum(scan_range(spec, 3, 10, 700,
                                                kernel=kernel))
-                   for kernel in KERNELS + ["scalar"]}
+                   for kernel in KERNELS}
         assert len(set(results.values())) == 1, results
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            scan_range(find_dataset("open"), 0, 0, 10, kernel="cuda")
+    def test_unknown_kernel_rejected(self, tmp_path):
+        spec = find_dataset("open")
+        for kernel in ("cuda", "vector", "python"):
+            with pytest.raises(ValueError):
+                scan_range(spec, 0, 0, 10, kernel=kernel)
+        # Checked on entry: a store holding every shard still rejects
+        # the value instead of returning the cached report.
+        store = AtlasStore(tmp_path / "complete")
+        scan_dataset(spec, seed=0, entities=200, shards=2,
+                     executor="serial", store=store)
+        with pytest.raises(ValueError, match="unknown kernel"):
+            scan_dataset(spec, seed=0, entities=200, shards=2,
+                         executor="serial", store=store, kernel="cuda")
 
 
 # -- work stealing under adversarial completion order ------------------------

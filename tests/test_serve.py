@@ -272,6 +272,49 @@ class TestServiceResilience:
         finally:
             connection.close()
 
+    def test_keep_alive_responses_do_not_stall(self, served):
+        # Headers and body written separately to an unbuffered socket
+        # make every keep-alive response wait out the client's delayed
+        # ACK (~40 ms each); buffered, ten requests take milliseconds.
+        import http.client
+        import time
+
+        _service, base = served
+        host, port = base.removeprefix("http://").rsplit(":", 1)
+        connection = http.client.HTTPConnection(host, int(port),
+                                                timeout=10)
+        try:
+            started = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            assert time.perf_counter() - started < 0.25
+        finally:
+            connection.close()
+
+    def test_expect_100_continue_is_answered_before_the_body(self,
+                                                             served):
+        import socket
+
+        _service, base = served
+        host, port = base.removeprefix("http://").rsplit(":", 1)
+        body = json.dumps({"methods": ["hijack"], "seeds": 1}).encode()
+        with socket.create_connection((host, int(port)),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Expect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            # The interim response arrives while the body is unsent.
+            assert sock.recv(64).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                reply += sock.recv(4096)
+            assert b" 202 " in reply.split(b"\r\n", 1)[0]
+
     def test_handler_arms_a_socket_timeout(self):
         from repro.serve.api import REQUEST_TIMEOUT, ServeHandler
 
