@@ -24,6 +24,7 @@ from repro.netsim.host import Host
 from repro.netsim.packet import IcmpMessage, Ipv4Packet, PROTO_UDP
 from repro.netsim.wire import encode_ipv4, encode_udp, make_icmp_packet
 from repro.netsim.packet import UdpDatagram
+from repro.netsim.train import UdpTrain
 
 
 @dataclass
@@ -102,14 +103,14 @@ class OffPathAttacker:
         self.host.raw_send(packet)
         self.packets_sent += 1
 
-    def inject_udp(self, packet: Ipv4Packet) -> None:
-        """Inject a pre-built (possibly spoofed) packet and account it.
+    def inject_train(self, train: UdpTrain) -> None:
+        """Inject a (possibly spoofed) packet train and account each packet.
 
-        The flooding fast paths build their packets with incremental
-        checksums; this is :meth:`spoof_udp` minus the encoding.
+        The flooding paths send runs of packets that differ in one
+        16-bit field; a train carries the run as one scheduler event.
         """
-        self.host.raw_send(packet)
-        self.packets_sent += 1
+        self.host.raw_send_train(train)
+        self.packets_sent += len(train)
 
     def spoof_dns(self, src: str, dst: str, dport: int,
                   message: DnsMessage, sport: int = 53) -> None:

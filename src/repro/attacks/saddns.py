@@ -19,11 +19,16 @@ Paper Section 3.2 (Figure 1).  The attack per iteration:
 
 The numbers Table 6 reports (hitrate ≈ 0.2%, ≈ 497 triggered queries,
 ≈ 1M packets, minutes of attack time) emerge from these mechanics.
+
+Each probe batch and each flood chunk travels as one
+:class:`~repro.netsim.train.UdpTrain` — a single scheduler event that
+the resolver's host settles in bulk — so a flood costs a handful of
+events instead of 2^16, with every count, ICMP error and cache outcome
+identical to sending the packets one by one.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from repro.attacks.base import AttackResult, OffPathAttacker, cache_poisoned
@@ -34,15 +39,8 @@ from repro.dns.nameserver import AuthoritativeServer
 from repro.dns.records import ResourceRecord, TYPE_A, rr_a
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.wire import encode_message
-from repro.netsim.addresses import ip_to_int
-from repro.netsim.checksum import ones_complement_sum
 from repro.netsim.network import Network
-from repro.netsim.packet import (
-    PROTO_UDP,
-    UDP_HEADER_LEN,
-    Ipv4Packet,
-    UdpDatagram,
-)
+from repro.netsim.train import UdpTrain
 
 DNS_PORT = 53
 EPHEMERAL_LOW = 1024
@@ -64,6 +62,17 @@ class SadDnsConfig:
     txid_flood_chunk: int = 4096
     verification_port: int = 11     # known-closed port for the check probe
     iteration_budget: float = 0.6   # pause between iterations (~1 query/s)
+
+    def __post_init__(self) -> None:
+        # A chunk outside 1..2^16 either skips the flood silently (the
+        # cell then reads as defended) or breaks it mid-attack.
+        if not 1 <= self.txid_flood_chunk <= 0x10000:
+            raise ValueError(
+                f"txid_flood_chunk must be in 1..65536, got"
+                f" {self.txid_flood_chunk}")
+        if self.batch_size < 1:
+            raise ValueError(
+                f"batch_size must be >= 1, got {self.batch_size}")
 
 
 class SadDnsAttack:
@@ -157,16 +166,22 @@ class SadDnsAttack:
         while len(batch) < config.batch_size:
             batch.append(filler_port)
             filler_port += 1
-        self.attacker.drain_icmp()
-        for port in batch:
-            self.attacker.spoof_udp(ns_ip, DNS_PORT, resolver_ip, port,
-                                    b"\x00\x00probe")
+        attacker = self.attacker
+        attacker.drain_icmp()
+        randint = attacker.rng.randint
+        # One dport train: the batch arrives as one event, with the IP
+        # idents spoof_udp would draw packet by packet.
+        attacker.inject_train(UdpTrain(
+            src=ns_ip, dst=resolver_ip, sport=DNS_PORT, dports=batch,
+            payload=b"\x00\x00probe",
+            idents=[randint(0, 0xFFFF) for _ in batch],
+        ))
         # Verification probe, same instant: the deterministic scheduler
         # delivers it after the batch, before any token refill.
-        self.attacker.send_udp(resolver_ip, config.verification_port,
-                               b"\x00\x00verify")
+        attacker.send_udp(resolver_ip, config.verification_port,
+                          b"\x00\x00verify")
         self.network.run(0.03)
-        responses = self.attacker.drain_icmp()
+        responses = attacker.drain_icmp()
         return any(
             message.is_port_unreachable and src == resolver_ip
             for message, src in responses
@@ -197,52 +212,31 @@ class SadDnsAttack:
         """Spoof responses for every TXID to the discovered port.
 
         The 2^16 flood packets differ only in the DNS TXID (the first
-        payload word), so the UDP checksum is maintained incrementally
-        from the TXID-zero sum instead of re-summing every segment —
-        the same trick real flooding tools use.  The packets injected,
-        and the attacker's per-packet IP-ID draws, are bit-identical to
-        encoding each one from scratch.
+        payload word), so each ``txid_flood_chunk`` of them travels as
+        one :class:`~repro.netsim.train.UdpTrain`: one scheduler event,
+        one decode at the resolver, the UDP checksum kept incrementally
+        from the TXID-zero sum — the same trick real flooding tools use.
+        The packets (materialised on demand) and the attacker's
+        per-packet IP-ID draws are bit-identical to encoding and
+        sending each one separately.
         """
         config = self.config
         resolver_ip = self.resolver.address
         ns_ip = self.nameserver.address
         attacker = self.attacker
-        rng = attacker.rng
+        pick_txid = attacker.rng.pick_txid
         # Encode once; only the two TXID bytes change across the flood.
-        template = bytearray(encode_message(attacker.forge_response(
+        payload = encode_message(attacker.forge_response(
             names.normalise(qname), TYPE_A, 0, self.malicious_records,
-        )))
-        seg_len = UDP_HEADER_LEN + len(template)
-        src_int = ip_to_int(ns_ip)
-        dst_int = ip_to_int(resolver_ip)
-        header_zero_csum = struct.pack("!HHHH", DNS_PORT, port, seg_len, 0)
-        # One's-complement sum of pseudo-header + header + TXID-zero
-        # payload; the TXID word is 16-bit aligned, so each TXID adds
-        # straight into the folded sum.
-        base_sum = ones_complement_sum(
-            header_zero_csum + bytes(template),
-            (src_int >> 16) + (src_int & 0xFFFF)
-            + (dst_int >> 16) + (dst_int & 0xFFFF) + 17 + seg_len,
-        )
+        ))
         for start in range(0, 0x10000, config.txid_flood_chunk):
-            for txid in range(start,
-                              min(start + config.txid_flood_chunk, 0x10000)):
-                template[0] = txid >> 8
-                template[1] = txid & 0xFF
-                total = base_sum + txid
-                total = (total & 0xFFFF) + (total >> 16)
-                checksum = (~total) & 0xFFFF
-                if checksum == 0:
-                    checksum = 0xFFFF
-                payload = bytes(template)
-                segment = struct.pack("!HHHH", DNS_PORT, port, seg_len,
-                                      checksum) + payload
-                attacker.inject_udp(Ipv4Packet(
-                    src=ns_ip, dst=resolver_ip, proto=PROTO_UDP,
-                    payload=segment, ident=rng.pick_txid(),
-                    udp=UdpDatagram(sport=DNS_PORT, dport=port,
-                                    payload=payload),
-                ))
+            txids = range(start,
+                          min(start + config.txid_flood_chunk, 0x10000))
+            attacker.inject_train(UdpTrain(
+                src=ns_ip, dst=resolver_ip, sport=DNS_PORT, dport=port,
+                payload=payload, txids=txids,
+                idents=[pick_txid() for _ in txids],
+            ))
             # Give the chunk a full propagation delay before checking.
             self.network.run(0.012)
             if cache_poisoned(self.resolver, qname,

@@ -137,6 +137,10 @@ class Scheduler:
         callback overshoots by at most one check window).  Exceeding
         either raises :class:`repro.core.errors.BudgetExceededError`
         from the run loop; ``arm_budget()`` with no arguments disarms.
+
+        Events are scheduler callbacks, not packets: a packet train
+        (:class:`repro.netsim.train.UdpTrain`, e.g. a whole SadDNS TXID
+        flood chunk) is delivered by one event and counts once.
         """
         self.event_budget = None if max_events is None \
             else self.executed + max_events

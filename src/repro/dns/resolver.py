@@ -43,6 +43,7 @@ from repro.dns.records import (
 from repro.dns.wire import decode_message, encode_message
 from repro.netsim.host import Host, UdpSocket
 from repro.netsim.packet import UdpDatagram
+from repro.netsim.train import UdpTrain
 
 DNS_PORT = 53
 
@@ -172,7 +173,7 @@ class _Resolution:
             if not resolver.config.new_port_per_retry:
                 # Keep the same socket (and source port) across
                 # retransmissions — the behaviour SadDNS depends on.
-                self.socket.handler = self._on_datagram
+                self._bind(self.socket)
                 return
             self.socket.close()
         if resolver.config.port_policy == "fixed":
@@ -181,12 +182,18 @@ class _Resolution:
             if port in existing:
                 # Reuse: fixed-port resolvers share one socket.
                 self.socket = resolver._fixed_socket
-                self.socket.handler = self._on_datagram
+                self._bind(self.socket)
                 return
-            self.socket = resolver.host.open_udp(port, self._on_datagram)
+            self.socket = resolver.host.open_udp(port)
             resolver._fixed_socket = self.socket
         else:
-            self.socket = resolver.host.open_udp(None, self._on_datagram)
+            self.socket = resolver.host.open_udp(None)
+        self._bind(self.socket)
+
+    def _bind(self, socket: UdpSocket) -> None:
+        """Route the socket's datagrams and packet trains to this lookup."""
+        socket.handler = self._on_datagram
+        socket.train_handler = self._on_train
 
     def _close_socket(self) -> None:
         if self.socket is not None and not self.socket.closed:
@@ -230,13 +237,45 @@ class _Resolution:
         self._close_socket()
         self._process(response)
 
+    def _on_train(self, train: UdpTrain, start: int) -> int:
+        """Settle packets ``start..`` of a TXID train on this socket.
+
+        The packets differ only in the TXID, so the payload is decoded
+        and checked once: the mismatches before the packet carrying our
+        TXID are rejected in one step and that packet goes through
+        :meth:`_on_datagram`.  Returns how many packets were consumed;
+        the host re-reads the socket for the rest, which the matching
+        packet may have closed or re-bound under a fresh TXID.
+        """
+        remaining = len(train) - start
+        if self.finished:
+            return remaining
+        try:
+            response = decode_message(train.payload(start))
+        except Exception:
+            return remaining
+        stats = self.resolver.stats
+        match = None
+        if self._acceptable(response, train.src):
+            match = train.index_of(self.txid, start)
+        if match is None:
+            stats.rejected_responses += remaining
+            return remaining
+        stats.rejected_responses += match - start
+        packet = train.packet(match)
+        self._on_datagram(packet.udp, packet.src, packet.dst)
+        return match - start + 1
+
     def _validate(self, response: DnsMessage, src: str) -> bool:
         """RFC 5452 acceptance checks: source, TXID, question echo."""
+        return response.txid == self.txid \
+            and self._acceptable(response, src)
+
+    def _acceptable(self, response: DnsMessage, src: str) -> bool:
+        """Every acceptance check but the TXID."""
         if not response.is_response:
             return False
         if src != self.current_server:
-            return False
-        if response.txid != self.txid:
             return False
         question = response.question
         if question is None or question.qtype != self.qtype:

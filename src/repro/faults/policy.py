@@ -33,7 +33,9 @@ class RunPolicy:
     * ``max_events`` / ``max_wall`` arm the scheduler watchdog per cell
       (see :meth:`repro.core.clock.Scheduler.arm_budget`); a cell that
       blows either budget raises
-      :class:`~repro.core.errors.BudgetExceededError`.
+      :class:`~repro.core.errors.BudgetExceededError`.  ``max_events``
+      counts scheduler events, and a packet train (one SadDNS flood
+      chunk or probe batch) is one event however many packets it holds.
     * ``retries`` / ``backoff`` bound the retry loop for
       :class:`~repro.core.errors.TransientError` failures — attempt *n*
       sleeps ``backoff * n`` seconds first.

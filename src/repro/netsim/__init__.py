@@ -33,6 +33,7 @@ from repro.netsim.packet import (
     UdpDatagram,
 )
 from repro.netsim.ratelimit import TokenBucket
+from repro.netsim.train import UdpTrain
 from repro.netsim.wire import (
     decode_ipv4,
     decode_udp_payload,
@@ -60,6 +61,7 @@ __all__ = [
     "TokenBucket",
     "UdpDatagram",
     "UdpSocket",
+    "UdpTrain",
     "decode_ipv4",
     "decode_udp_payload",
     "encode_ipv4",

@@ -75,7 +75,11 @@ class ReassemblyCache:
                  timeout: float = LINUX_FRAG_TIMEOUT):
         self.capacity = capacity
         self.timeout = timeout
+        # Insertion order is first_seen order: partials are only ever
+        # appended, at the current (monotone) virtual time, so the
+        # oldest partial is always the first key.
         self._partials: dict[tuple[str, str, int, int], _PartialDatagram] = {}
+        self._last = 0.0
         self.evictions = 0
         self.timeouts = 0
         self.reassembled = 0
@@ -84,13 +88,21 @@ class ReassemblyCache:
         return len(self._partials)
 
     def expire(self, now: float) -> None:
-        """Drop partial datagrams older than the reassembly timeout."""
-        stale = [
-            key for key, partial in self._partials.items()
-            if now - partial.first_seen > self.timeout
-        ]
-        for key in stale:
-            del self._partials[key]
+        """Drop partial datagrams older than the reassembly timeout.
+
+        The stale partials are a prefix of the insertion order, so this
+        stops at the first live one.
+        """
+        if now < self._last:
+            raise ValueError(
+                f"time went backwards: now={now} < last={self._last}")
+        self._last = now
+        partials = self._partials
+        while partials:
+            oldest = next(iter(partials))
+            if now - partials[oldest].first_seen <= self.timeout:
+                break
+            del partials[oldest]
             self.timeouts += 1
 
     def add(self, fragment: Ipv4Packet, now: float) -> Ipv4Packet | None:
@@ -105,9 +117,7 @@ class ReassemblyCache:
                 # Evict the oldest entry, as Linux does under memory
                 # pressure.  The attacker's cache-filling trick exploits
                 # exactly this bound.
-                oldest = min(self._partials,
-                             key=lambda k: self._partials[k].first_seen)
-                del self._partials[oldest]
+                del self._partials[next(iter(self._partials))]
                 self.evictions += 1
             partial = _PartialDatagram(first_seen=now)
             self._partials[key] = partial

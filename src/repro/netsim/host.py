@@ -41,8 +41,13 @@ from repro.netsim.wire import (
 
 if TYPE_CHECKING:
     from repro.netsim.network import Network
+    from repro.netsim.train import UdpTrain
 
 UdpHandler = Callable[[UdpDatagram, str, str], None]
+# Settles packets ``i..`` of a TXID train landing on the socket and
+# returns how many (>= 1) it consumed; the host re-reads the socket state
+# before handing it the rest.
+UdpTrainHandler = Callable[["UdpTrain", int], int]
 IcmpErrorHandler = Callable[[IcmpMessage, str], None]
 
 # Modern Linux refuses PTB-advertised MTUs below this for path MTU
@@ -107,7 +112,13 @@ class HostStats:
 
 
 class UdpSocket:
-    """A bound UDP endpoint on a :class:`Host`."""
+    """A bound UDP endpoint on a :class:`Host`.
+
+    ``train_handler`` optionally settles a whole packet train in bulk
+    (see :meth:`Host.receive_train`); it must behave exactly like
+    ``handler`` applied to each packet in turn.  Sockets without one get
+    the train packet by packet.
+    """
 
     def __init__(self, host: "Host", local_ip: str, port: int,
                  handler: UdpHandler | None):
@@ -115,6 +126,7 @@ class UdpSocket:
         self.local_ip = local_ip
         self.port = port
         self.handler = handler
+        self.train_handler: UdpTrainHandler | None = None
         self.error_handler: IcmpErrorHandler | None = None
         self.closed = False
 
@@ -273,6 +285,18 @@ class Host:
         self.stats.sent += 1
         self.network.transmit(packet, origin=self)
 
+    def raw_send_train(self, train: "UdpTrain") -> None:
+        """:meth:`raw_send` for every packet of ``train``, as one event."""
+        if self.network is None:
+            raise RuntimeError(f"{self.name} is not attached to a network")
+        if not self.owns(train.src) \
+                and not self.config.egress_spoofing_allowed:
+            raise PermissionError(
+                f"{self.name} cannot spoof {train.src}: egress filtering"
+            )
+        self.stats.sent += len(train)
+        self.network.transmit_train(train, origin=self)
+
     def _transmit(self, packet: Ipv4Packet) -> None:
         if self.network is None:
             raise RuntimeError(f"{self.name} is not attached to a network")
@@ -333,6 +357,75 @@ class Host:
         elif packet.proto == PROTO_ICMP and packet.icmp is not None:
             self._deliver_icmp(packet)
 
+    def receive_train(self, train: "UdpTrain") -> None:
+        """Settle a delivered train exactly as :meth:`receive` would each
+        of its packets, in order.
+
+        Packets landing on a closed port are counted in bulk and spend
+        the ICMP budget in one step; only the packets that earn an error
+        are materialised (the error embeds their header).  A run landing
+        on an open socket goes to the socket's ``train_handler``, and the
+        socket state is re-read after each handled run, because the
+        handler may close the socket or re-bind the port.
+        """
+        count = len(train)
+        if self.packet_tap is not None or not self.owns(train.dst):
+            for i in range(count):
+                self.receive(train.packet(i))
+            return
+        self.stats.received += count
+        sockets = self._sockets
+        dports = train.dports
+        i = 0
+        while i < count:
+            socket = sockets.get(train.dport_at(i))
+            if socket is None or socket.closed:
+                end = count
+                if dports is not None:
+                    end = i + 1
+                    while end < count:
+                        nxt = sockets.get(dports[end])
+                        if nxt is not None and not nxt.closed:
+                            break
+                        end += 1
+                self._closed_port_train(train, i, end)
+                i = end
+            elif socket.train_handler is not None and dports is None:
+                consumed = socket.train_handler(train, i)
+                self.stats.udp_delivered += consumed
+                i += consumed
+            else:
+                self._deliver_udp(train.packet(i))
+                i += 1
+
+    def _closed_port_train(self, train: "UdpTrain", start: int,
+                           end: int) -> None:
+        """Packets ``start..end-1`` of ``train`` hit closed ports."""
+        self.stats.udp_to_closed_port += end - start
+        if not self.config.respond_port_unreachable:
+            return
+        bucket = self._icmp_bucket
+        now = self.now
+        if bucket is not None and self.config.icmp_limit_randomized:
+            randint = self.rng.randint
+            for i in range(start, end):
+                if bucket.allow(now, cost=1 + randint(0, 5)):
+                    self._send_port_unreachable(train.packet(i))
+                else:
+                    self.stats.icmp_errors_suppressed += 1
+            return
+        for i in range(start, end):
+            if bucket is not None:
+                if bucket.peek(now) < 1.0:
+                    # Time stands still inside the train: every later
+                    # packet is refused too.
+                    suppressed = end - i
+                    bucket.denied += suppressed
+                    self.stats.icmp_errors_suppressed += suppressed
+                    return
+                bucket.allow(now)
+            self._send_port_unreachable(train.packet(i))
+
     def _deliver_udp(self, packet: Ipv4Packet) -> None:
         assert packet.udp is not None
         socket = self._sockets.get(packet.udp.dport)
@@ -358,6 +451,9 @@ class Host:
             if not allowed:
                 self.stats.icmp_errors_suppressed += 1
                 return
+        self._send_port_unreachable(packet)
+
+    def _send_port_unreachable(self, packet: Ipv4Packet) -> None:
         self.stats.icmp_errors_sent += 1
         embedded = encode_ipv4(packet)[:28]  # IP header + 8 payload bytes
         self.send_icmp(

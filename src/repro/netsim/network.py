@@ -18,6 +18,7 @@ from repro.core.clock import Scheduler
 from repro.core.eventlog import EventLog
 from repro.netsim.host import Host
 from repro.netsim.packet import Ipv4Packet
+from repro.netsim.train import UdpTrain
 
 # An interceptor looks at an in-flight packet and may claim it by
 # returning the host that should receive it instead of the owner.
@@ -206,6 +207,39 @@ class Network:
             return
         # No closure, no handle: deliveries are never cancelled.
         self.scheduler.schedule(latency, self._deliver, packet, target)
+
+    def transmit_train(self, train: UdpTrain,
+                       origin: Host | None = None) -> None:
+        """:meth:`transmit` every packet of ``train`` as one scheduler event.
+
+        The whole train shares one route and one latency, so it is
+        delivered in a single ``_deliver_train`` event and the receiver
+        settles it in bulk.  A loss model, an interceptor, a fault
+        injector or packet tracing looks at packets one by one, so any
+        of them sends the train through :meth:`transmit` packet by
+        packet instead.
+        """
+        count = len(train)
+        if self._loss is not None or self._interceptors \
+                or self._faults is not None \
+                or (self.trace_packets and self.log.enabled):
+            for i in range(count):
+                self.transmit(train.packet(i), origin)
+            return
+        self.stats.transmitted += count
+        target = self._by_address.get(train.dst)
+        if target is None:
+            self.stats.dropped_no_route += count
+            return
+        latency = self._latency_overrides.get(
+            (train.src, train.dst), self.default_latency)
+        self.scheduler.schedule(latency, self._deliver_train, train, target)
+
+    def _deliver_train(self, train: UdpTrain, target: Host) -> None:
+        count = len(train)
+        self.stats.delivered += count
+        self.stats.per_destination[train.dst] += count
+        target.receive_train(train)
 
     def _route(self, packet: Ipv4Packet, origin: Host | None) -> Host | None:
         for interceptor in self._interceptors:

@@ -141,3 +141,20 @@ class TestEndToEnd:
         result = attack.execute(make_trigger(world, attacker))
         assert not result.success
         assert world["resolver"].stats.rejected_responses > 0
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("chunk", [-4096, 0, 0x10001])
+    def test_flood_chunk_outside_txid_space_rejected(self, chunk):
+        with pytest.raises(ValueError, match="txid_flood_chunk"):
+            SadDnsConfig(txid_flood_chunk=chunk)
+
+    @pytest.mark.parametrize("size", [0, -50])
+    def test_empty_probe_batch_rejected(self, size):
+        with pytest.raises(ValueError, match="batch_size"):
+            SadDnsConfig(batch_size=size)
+
+    @pytest.mark.parametrize("chunk", [1, 4096, 0x10000])
+    def test_flood_chunk_bounds_accepted(self, chunk):
+        assert SadDnsConfig(txid_flood_chunk=chunk).txid_flood_chunk \
+            == chunk

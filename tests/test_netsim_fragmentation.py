@@ -1,5 +1,7 @@
 """Tests for IP fragmentation and the defragmentation cache."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +128,45 @@ class TestReassemblyCache:
             cache.add(fragment, now=float(ident))
         assert len(cache) == 4
         assert cache.evictions == 2
+
+    def test_backwards_time_rejected(self):
+        cache = ReassemblyCache()
+        cache.expire(now=5.0)
+        with pytest.raises(ValueError, match="backwards"):
+            cache.expire(now=4.0)
+
+    def test_aging_matches_oldest_first_scan(self):
+        """At capacity, with timeouts interleaved, every eviction and
+        timeout matches the reference: scan all partials for stale ones,
+        evict the minimum ``first_seen``."""
+        capacity, timeout = 8, 3.0
+        cache = ReassemblyCache(capacity=capacity, timeout=timeout)
+        reference: dict[int, float] = {}   # ident -> first_seen
+        ref_evictions = ref_timeouts = 0
+        draw = random.Random(7)
+        now = 0.0
+        for _ in range(600):
+            now += draw.choice((0.0, 0.05, 0.4, 1.3))
+            ident = draw.randrange(24)
+            stale = [k for k, seen in reference.items()
+                     if now - seen > timeout]
+            for key in stale:
+                del reference[key]
+                ref_timeouts += 1
+            if ident not in reference:
+                if len(reference) >= capacity:
+                    del reference[min(reference, key=reference.get)]
+                    ref_evictions += 1
+                reference[ident] = now
+            # A lone first fragment never completes, so it stays partial.
+            first = fragment_packet(make_packet(bytes(100), ident=ident),
+                                    68)[0]
+            assert cache.add(first, now) is None
+            assert (cache.evictions, cache.timeouts) == \
+                (ref_evictions, ref_timeouts)
+            assert sorted(key[3] for key in cache._partials) == \
+                sorted(reference)
+        assert ref_evictions > 0 and ref_timeouts > 0
 
     def test_default_capacity_is_linux_like(self):
         assert ReassemblyCache().capacity == LINUX_FRAG_CAPACITY == 64

@@ -15,8 +15,11 @@ import threading
 
 import pytest
 
+from repro.attacks.saddns import SadDnsConfig
 from repro.core.clock import Scheduler
 from repro.core.errors import BudgetExceededError
+from repro.defenses.ablation import defended_scenario
+from repro.defenses.base import DefenseStack
 from repro.faults import (
     ChaosError,
     ChaosStore,
@@ -28,6 +31,7 @@ from repro.faults import (
     reset_flaky_attempts,
     should_fail,
 )
+from repro.netsim.host import HostConfig
 from repro.scenario.campaign import Campaign
 from repro.scenario.spec import AttackScenario
 from repro.store.db import RunStore, retry_locked
@@ -155,6 +159,27 @@ class TestRunPolicy:
         run = execute_cell(scenario, 0, RunPolicy(max_events=3))
         assert run.failed
         assert "BudgetExceededError" in run.error
+
+    def test_flood_cell_budget_counts_each_train_once(self):
+        # A SadDNS cell whose 50-port window makes its one iteration
+        # isolate the query port and flood all 2^16 TXIDs.
+        scenario = dataclasses.replace(
+            defended_scenario("SadDNS", DefenseStack.parse("dnssec")),
+            attack_config=SadDnsConfig(max_iterations=1),
+            resolver_host_config=HostConfig(ephemeral_low=20000,
+                                            ephemeral_high=20049))
+        built = scenario.build(seed=0)
+        before = built.network.scheduler.executed
+        clean = built.execute()
+        events = built.network.scheduler.executed - before
+        assert clean.packets_sent > 0x10000 > 100 * events
+        fits = execute_cell(scenario, 0, RunPolicy(max_events=events))
+        assert not fits.failed
+        assert fits.result == clean.result
+        starved = execute_cell(scenario, 0,
+                               RunPolicy(max_events=events // 2))
+        assert starved.failed
+        assert "BudgetExceededError" in starved.error
 
     def test_generous_budget_leaves_the_run_untouched(self):
         scenario = AttackScenario(method="HijackDNS", label="cell")
