@@ -597,7 +597,7 @@ class Campaign:
                         workload_spec_hash(scenario.workload)
                 keys.append((spec_hashes[marker], seed_key(seed),
                              scenario.defense_key))
-            stored = store.load_cells(spec_hashes.values())
+            stored = store.load_cells(keys)
             missing = []
             requeued_failures = 0
             for index, (task, key) in enumerate(zip(tasks, keys)):

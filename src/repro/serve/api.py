@@ -13,8 +13,9 @@ dependencies.  Endpoints (all JSON):
 * ``GET  /jobs/<id>``     — one job (404 when unknown)
 * ``GET  /runs``          — stored records; filters ``method``,
   ``defense``, ``label``, ``app``, ``spec_hash``, ``status``
-  (``ok``/``failed``), ``success=yes|no``, ``limit``; ``stats=1``
-  includes the full per-run stats JSON
+  (``ok``/``failed``), ``success=yes|no``, ``limit`` (0 to
+  :data:`MAX_RUNS_PAGE`); ``stats=1`` includes the full per-run stats
+  JSON.  Any other ``success`` value or a negative ``limit`` is a 400
 * ``GET  /aggregate``     — mergeable totals, grouped by ``?by=axis``
 
 With the obs plane on (the serve CLI enables it unless ``--no-obs``),
@@ -94,6 +95,15 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.wfile.flush()
         return accepted
 
+    def finish(self) -> None:
+        # Each request runs on a fresh thread, which opened its own
+        # store connection; close it here rather than leaving it (and
+        # its page cache) to the cyclic GC.  Job workers keep theirs.
+        try:
+            super().finish()
+        finally:
+            self.service.store.close()
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.quiet:
             super().log_message(format, *args)
@@ -127,6 +137,9 @@ class ServeHandler(BaseHTTPRequestHandler):
                    for key in ("method", "defense", "label", "app",
                                "spec_hash", "status")}
         if "success" in query:
+            if query["success"] not in ("yes", "no"):
+                raise ValueError(f"success must be yes or no, not "
+                                 f"{query['success']!r}")
             filters["success"] = query["success"] == "yes"
         return filters
 

@@ -14,11 +14,17 @@ Two consumers, two shapes:
   ``/aggregate`` endpoint and the store CLI serve from: totals of two
   disjoint record streams merge associatively, so partial sweeps,
   concurrent workers and sharded stores sum without reconstruction.
+  :func:`totals_from_store` reads only the group column and the
+  counter columns — no stats JSON, no :class:`RunRecord` — and folds
+  them in key order in Python.  Folding in that fixed order (rather
+  than with SQL ``SUM``, whose addition order is the planner's) keeps
+  the float sums, and so the ``/aggregate`` JSON, bit-identical to a
+  fold over :meth:`RunStore.iter_records`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.store.db import RunStore, StoreError
@@ -26,6 +32,12 @@ from repro.store.db import RunStore, StoreError
 #: Grouping axes :func:`totals_from_store` and the CLI accept.
 GROUP_AXES = ("method", "defense", "label", "app", "workload_hash",
               "spec_hash")
+
+#: The counter columns :func:`totals_from_store` folds, after the group
+#: column.  ``success`` and ``impact_realized`` are stored as 0/1.
+_TOTAL_COLUMNS = ("success, packets_sent, queries_triggered, duration, "
+                  "wall_time, impact_realized, "
+                  "load_checksum IS NOT NULL")
 
 
 @dataclass
@@ -43,28 +55,14 @@ class RunTotals:
     impacts_realized: int = 0
     loaded_runs: int = 0
 
-    def note(self, record: Any) -> None:
-        """Fold one :class:`repro.store.schema.RunRecord` in."""
-        self.runs += 1
-        self.successes += 1 if record.success else 0
-        self.packets += record.packets_sent
-        self.queries += record.queries_triggered
-        self.duration += record.duration
-        self.wall_time += record.wall_time
-        if record.impact_realized is not None:
-            self.app_runs += 1
-            self.impacts_realized += 1 if record.impact_realized else 0
-        if record.load_checksum is not None:
-            self.loaded_runs += 1
-
     def note_run(self, run: Any) -> None:
         """Fold one live :class:`repro.scenario.spec.ScenarioRun` in.
 
         The campaign runner streams worker chunks through here in
         completion order, so sweep totals accumulate while later
         batches are still executing — no end-of-run pass over the run
-        list.  Folding a run live and folding its stored
-        :class:`RunRecord` later produce identical totals; the integer
+        list.  Folding a run live and folding its stored row later
+        (:func:`totals_from_store`) produce identical totals; the integer
         counters are exact under any fold order, while the float sums
         (``duration``, ``wall_time``) agree only up to float-addition
         associativity across completion orders.
@@ -129,10 +127,30 @@ def totals_from_store(store: RunStore, by: str | None = None,
         raise StoreError(
             f"unknown aggregation axis {by!r}; pick one of "
             f"{', '.join(GROUP_AXES)}")
+    group_column = "'all'" if by is None else by
+    where, params = store._where(filters)
+    cursor = store._connect().cursor()
+    cursor.row_factory = None       # plain tuples: no per-row sqlite3.Row
+    rows = cursor.execute(
+        f"SELECT {group_column}, {_TOTAL_COLUMNS} FROM runs{where} "
+        "ORDER BY spec_hash, seed, defense", params).fetchall()
     groups: dict[str, RunTotals] = {}
-    for record in store.iter_records(**filters):
-        key = "all" if by is None else str(getattr(record, by))
-        groups.setdefault(key, RunTotals(key=key)).note(record)
+    for (group, success, packets, queries, duration, wall_time, impact,
+         loaded) in rows:
+        key = str(group)
+        totals = groups.get(key)
+        if totals is None:
+            totals = groups[key] = RunTotals(key=key)
+        totals.runs += 1
+        totals.successes += success
+        totals.packets += packets
+        totals.queries += queries
+        totals.duration += duration
+        totals.wall_time += wall_time
+        if impact is not None:
+            totals.app_runs += 1
+            totals.impacts_realized += impact
+        totals.loaded_runs += loaded
     return groups
 
 

@@ -22,6 +22,13 @@ from repro.store.aggregate import GROUP_AXES, totals_from_store
 from repro.store.db import RunStore, StoreError
 
 
+def _limit(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _filter_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", help="filter: attack method key")
     parser.add_argument("--defense", help="filter: defense-stack key")
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = commands.add_parser(
         "query", help="matching records as a table")
     query.add_argument("store", help="path to the SQLite run store")
-    query.add_argument("--limit", type=int, default=50,
+    query.add_argument("--limit", type=_limit, default=50,
                        help="max rows to print (default 50)")
     _filter_args(query)
     query.set_defaults(fn=_cmd_query)

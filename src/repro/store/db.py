@@ -20,6 +20,11 @@ constraints, in order:
   processes sharing one store file) append simultaneously without
   serialising whole sweeps.  Connections are per-thread; the
   :class:`RunStore` object itself may be shared across threads freely.
+* **reads that cost what they return** — the campaign resume path
+  resolves exactly the sweep's keys through the primary-key index
+  (:meth:`RunStore.load_cells`), and ``/aggregate`` folds only the
+  counter columns (:mod:`repro.store.aggregate`), so neither grows
+  with the rest of the store.
 * **queryable** — the flat record columns are indexed for the CLI /
   service filters (method, defense, label, app, success) and for the
   incremental aggregates in :mod:`repro.store.aggregate`.
@@ -122,6 +127,23 @@ def retry_locked(fn: Callable[[], Any],
             time.sleep(backoff * attempt)
 
 
+#: Keys per :meth:`RunStore.load_cells` statement: three bound
+#: variables each keeps a statement under SQLite's historical limit of
+#: 999.
+LOAD_CHUNK = 300
+
+
+def _cells_query(count: int) -> str:
+    """Select the rows of ``count`` bound ``(spec_hash, seed, defense)``
+    keys.  The joined ``VALUES`` table is planned as one primary-key
+    index search per key; the ``(a, b, c) IN (VALUES ...)`` form would
+    scan the whole table instead."""
+    values = ", ".join(["(?, ?, ?)"] * count)
+    return (f"SELECT runs.* FROM (VALUES {values}) AS k "
+            "JOIN runs ON runs.spec_hash = k.column1 "
+            "AND runs.seed = k.column2 AND runs.defense = k.column3")
+
+
 class StoreError(Exception):
     """A run-store operation failed (bad path, format mismatch, ...)."""
 
@@ -155,7 +177,14 @@ class RunStore:
 
     ``RunStore("runs.db")`` creates the file (and parent directories)
     on first use.  The object is cheap and thread-safe: each thread
-    lazily opens its own WAL-mode connection to the same file.
+    lazily opens its own WAL-mode connection to the same file and keeps
+    it until that thread calls :meth:`close`.  Long-lived threads (the
+    campaign runner, ``repro serve``'s job workers) keep theirs open;
+    short-lived ones must close theirs, because a ``sqlite3``
+    connection sits in a reference cycle and would otherwise hold its
+    file descriptor and page cache until the cyclic GC runs.
+    ``repro serve`` closes each request thread's connection when the
+    request finishes.
     """
 
     def __init__(self, path: str | os.PathLike,
@@ -186,18 +215,19 @@ class RunStore:
     def _connect(self) -> sqlite3.Connection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
+            # ``timeout`` is SQLite's busy timeout.  WAL mode persists in
+            # the file (set once by _init_schema), so a connection opened
+            # per request thread pays for no journal-mode switch.
             connection = sqlite3.connect(self.path,
                                          timeout=self.busy_timeout)
             connection.row_factory = sqlite3.Row
-            connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
-            connection.execute(
-                f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}")
             self._local.connection = connection
         return connection
 
     def _init_schema(self) -> None:
         connection = self._connect()
+        connection.execute("PRAGMA journal_mode=WAL")
         with connection:
             connection.executescript(_SCHEMA)
             connection.execute(
@@ -322,23 +352,25 @@ class RunStore:
             "SELECT 1 FROM runs WHERE spec_hash = ? AND seed = ? "
             "AND defense = ?", key).fetchone() is not None
 
-    def load_cells(self, spec_hashes: Iterable[str]
+    def load_cells(self, keys: Iterable[tuple[str, str, str]]
                    ) -> dict[tuple[str, str, str], RunRecord]:
-        """Every stored record for the given scenario hashes, keyed.
+        """The stored records among ``(spec_hash, seed, defense)`` keys.
 
         The campaign resume path uses this to resolve a whole sweep's
-        cached cells in one query instead of one lookup per cell.
+        cached cells in a few queries instead of one lookup per cell.
+        Each key is looked up through the primary-key index, so the
+        cost follows the number of keys asked for, not the number of
+        other seeds stored under the same scenarios.  Missing keys are
+        simply absent from the result.
         """
-        hashes = sorted(set(spec_hashes))
+        wanted = sorted(set(keys))
         cells: dict[tuple[str, str, str], RunRecord] = {}
-        if not hashes:
-            return cells
         connection = self._connect()
-        for start in range(0, len(hashes), 500):
-            chunk = hashes[start:start + 500]
+        for start in range(0, len(wanted), LOAD_CHUNK):
+            chunk = wanted[start:start + LOAD_CHUNK]
             rows = connection.execute(
-                f"SELECT * FROM runs WHERE spec_hash IN "
-                f"({', '.join('?' * len(chunk))})", chunk)
+                _cells_query(len(chunk)),
+                [part for key in chunk for part in key])
             for row in rows:
                 record = _row_to_record(row)
                 cells[record.key] = record
@@ -364,15 +396,20 @@ class RunStore:
 
     def iter_records(self, limit: int | None = None,
                      **filters: Any) -> Iterator[RunRecord]:
-        """Stream matching records in deterministic key order."""
+        """Stream matching records in deterministic key order.
+
+        A negative ``limit`` raises ``ValueError`` (SQLite would read
+        it as "no limit").
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         where, params = self._where(filters)
         sql = (f"SELECT * FROM runs{where} "
                "ORDER BY spec_hash, seed, defense")
         if limit is not None:
             sql += " LIMIT ?"
             params.append(limit)
-        for row in self._connect().execute(sql, params):
-            yield _row_to_record(row)
+        return map(_row_to_record, self._connect().execute(sql, params))
 
     def count(self, **filters: Any) -> int:
         where, params = self._where(filters)

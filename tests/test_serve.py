@@ -5,7 +5,10 @@ urllib: submit -> poll -> query round-trips, concurrent submitters
 exercising the WAL writer path, and the malformed-job 400 contract.
 """
 
+import gc
 import json
+import os
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -179,6 +182,27 @@ class TestRoundTrip:
         assert status == 400
         assert "unknown axis" in body["error"]
 
+    def test_negative_runs_limit_is_400(self, served):
+        service, base = served
+        job = service.submit({"methods": ["hijack"], "seeds": 2})
+        service.wait(job.id, timeout=60)
+        status, body = http(base, "/runs?limit=-1")
+        assert status == 400
+        assert "limit" in body["error"]
+        status, body = http(base, "/runs?limit=0")
+        assert status == 200 and body["count"] == 0
+
+    @pytest.mark.parametrize("route", ["/runs", "/aggregate"])
+    def test_success_filter_must_be_yes_or_no(self, served, route):
+        _service, base = served
+        for value in ("true", "1", "YES"):
+            status, body = http(base, f"{route}?success={value}")
+            assert status == 400, value
+            assert "success must be yes or no" in body["error"]
+        for value in ("yes", "no"):
+            status, _ = http(base, f"{route}?success={value}")
+            assert status == 200
+
     def test_jobs_listing(self, served):
         service, base = served
         _, job = http(base, "/jobs", {"methods": ["hijack"], "seeds": 1})
@@ -186,6 +210,35 @@ class TestRoundTrip:
         status, listing = http(base, "/jobs")
         assert status == 200
         assert [j["id"] for j in listing["jobs"]] == [job["id"]]
+
+
+class TestConnectionLifetime:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts descriptors in /proc/self/fd")
+    def test_request_threads_close_their_store_connections(self,
+                                                           served):
+        # With the cyclic GC off, a connection nobody closes keeps its
+        # descriptor open: one per request thread.
+        service, base = served
+        target = os.path.realpath(service.store.path)
+
+        def store_fds():
+            count = 0
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    count += os.readlink(f"/proc/self/fd/{fd}") == target
+                except OSError:
+                    pass
+            return count
+
+        gc.disable()
+        try:
+            for _ in range(50):
+                status, _ = http(base, "/aggregate")
+                assert status == 200
+            assert store_fds() <= service.workers + 2
+        finally:
+            gc.enable()
 
 
 class TestServiceResilience:

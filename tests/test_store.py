@@ -12,6 +12,7 @@ The load-bearing properties:
 """
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -36,7 +37,9 @@ from repro.store import (
     totals_from_store,
     workload_spec_hash,
 )
+from repro.store.aggregate import GROUP_AXES
 from repro.store.cli import main as store_main
+from repro.store.db import _cells_query
 from repro.workload import WorkloadSpec
 
 
@@ -149,8 +152,36 @@ class TestRunStore:
         store.record(record)
         assert record.key in store
         assert ("abc", "99", "none") not in store
-        cells = store.load_cells(["abc", "missing"])
+        cells = store.load_cells([record.key, ("abc", "99", "none")])
         assert set(cells) == {record.key}
+
+    def test_load_cells_returns_exactly_the_requested_keys(
+            self, tmp_path, monkeypatch):
+        # Other seeds of the same scenario hash stay unread; a chunk of
+        # two keys per statement exercises the chunk boundaries.
+        monkeypatch.setattr("repro.store.db.LOAD_CHUNK", 2)
+        store = RunStore(tmp_path / "runs.db")
+        store.record_many(synthetic_records(random.Random(3), 40))
+        stored = [record.key for record in store.iter_records()]
+        wanted = stored[1:30:4] + [("abc", "99", "none")]
+        cells = store.load_cells(wanted + wanted[:2])
+        assert set(cells) == set(stored[1:30:4])
+        assert all(cells[key].key == key for key in cells)
+        assert cells[stored[5]].stats == store.get(stored[5]).stats
+        assert store.load_cells([]) == {}
+
+    def test_load_cells_searches_the_primary_key_index(self, tmp_path):
+        store = RunStore(tmp_path / "runs.db")
+        store.record_many(synthetic_records(random.Random(4), 20))
+        keys = [record.key for record in store.iter_records(limit=3)]
+        plan = store._connect().execute(
+            "EXPLAIN QUERY PLAN " + _cells_query(len(keys)),
+            [part for key in keys for part in key]).fetchall()
+        details = [row["detail"] for row in plan]
+        assert any(detail.startswith("SEARCH runs USING INDEX")
+                   for detail in details), details
+        assert not any(detail.startswith("SCAN runs")
+                       for detail in details), details
 
     def test_filters_and_count(self, tmp_path):
         store = RunStore(tmp_path / "runs.db")
@@ -160,6 +191,9 @@ class TestRunStore:
         assert store.count(method="HijackDNS") == 3
         assert store.count(method="SadDNS") == 0
         assert len(list(store.iter_records(limit=2))) == 2
+        assert list(store.iter_records(limit=0)) == []
+        with pytest.raises(ValueError, match="limit"):
+            store.iter_records(limit=-1)
         with pytest.raises(StoreError, match="unknown filter"):
             store.count(bogus="x")
         assert store.distinct("method") == ["HijackDNS"]
@@ -188,6 +222,39 @@ class TestRunStore:
         assert isinstance(store, RunStore)
         assert RunStore.open(store) is store
         assert RunStore.open(None) is None
+
+
+def synthetic_records(rng, count):
+    """Varied records without running scenarios: several seeds per
+    spec hash, failed rows, rows with and without an app or a load
+    report, and floats whose sum depends on the addition order."""
+    records = []
+    for index in range(count):
+        app = rng.choice([None, "ntp", "smtp"])
+        failed = rng.random() < 0.2
+        records.append(RunRecord(
+            spec_hash=rng.choice(["abc", "def", "ghi"]),
+            seed=str(index),
+            defense=rng.choice(["none", "dnssec"]),
+            method=rng.choice(["HijackDNS", "FragDNS"]),
+            label=rng.choice(["alpha", "beta"]),
+            workload_hash=rng.choice(["", "w1"]),
+            app=app,
+            success=not failed and rng.random() < 0.6,
+            packets_sent=rng.randrange(1, 5000),
+            queries_triggered=rng.randrange(0, 40),
+            duration=rng.random() * 100.0,
+            impact_realized=None if app is None or failed
+            else rng.random() < 0.5,
+            load_checksum=rng.choice([None, "c0ffee"]),
+            wall_time=rng.random() / 7.0,
+            stats={"index": index},
+            created=1.0 + index,
+            status="failed" if failed else "ok",
+            error="ChaosError: boom" if failed else "",
+        ))
+    rng.shuffle(records)
+    return records
 
 
 def replace_stats(record):
@@ -368,6 +435,36 @@ class TestAggregates:
         with pytest.raises(StoreError, match="unknown aggregation"):
             totals_from_store(store, by="bogus")
 
+    @pytest.mark.parametrize("by", (None,) + GROUP_AXES)
+    @pytest.mark.parametrize("filters", [
+        {}, {"defense": "dnssec"}, {"status": "failed"},
+        {"success": True, "app": "ntp"},
+    ])
+    def test_totals_equal_a_record_fold(self, tmp_path, by, filters):
+        store = RunStore(tmp_path / "runs.db")
+        store.record_many(synthetic_records(random.Random(11), 120))
+        expected = {}
+        for record in store.iter_records(**filters):
+            key = "all" if by is None else str(getattr(record, by))
+            totals = expected.setdefault(key, RunTotals(key=key))
+            totals.runs += 1
+            totals.successes += 1 if record.success else 0
+            totals.packets += record.packets_sent
+            totals.queries += record.queries_triggered
+            totals.duration += record.duration
+            totals.wall_time += record.wall_time
+            if record.impact_realized is not None:
+                totals.app_runs += 1
+                totals.impacts_realized += \
+                    1 if record.impact_realized else 0
+            if record.load_checksum is not None:
+                totals.loaded_runs += 1
+        assert expected
+        got = totals_from_store(store, by=by, **filters)
+        assert list(got) == list(expected)
+        assert {key: totals.to_json() for key, totals in got.items()} \
+            == {key: totals.to_json() for key, totals in expected.items()}
+
     def test_totals_merge_associatively(self, tmp_path):
         store = self._seeded_store(tmp_path)
         whole = totals_from_store(store)["all"]
@@ -409,6 +506,13 @@ class TestStoreCli:
         assert payload["totals"]["runs"] == 4
         # One scenario per defense stack: bare + dnssec.
         assert payload["spec_hashes"] == 2
+
+    def test_query_rejects_a_negative_limit(self, tmp_path, capsys):
+        db = self._db(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            store_main(["query", db, "--limit", "-1"])
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
 
     def test_agg_and_export(self, tmp_path, capsys):
         db = self._db(tmp_path)
