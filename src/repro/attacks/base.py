@@ -11,7 +11,7 @@ methodology classes build on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core.eventlog import EventLog
 from repro.core.rng import DeterministicRNG
@@ -21,10 +21,9 @@ from repro.dns.records import ResourceRecord, TYPE_A, rr_rrsig
 from repro.dns.resolver import RecursiveResolver
 from repro.dns.wire import encode_message
 from repro.netsim.host import Host
-from repro.netsim.packet import IcmpMessage, Ipv4Packet, PROTO_UDP
-from repro.netsim.wire import encode_ipv4, encode_udp, make_icmp_packet
-from repro.netsim.packet import UdpDatagram
-from repro.netsim.train import UdpTrain
+from repro.netsim.packet import IcmpMessage, UdpDatagram
+from repro.netsim.train import FragmentTrain, UdpTrain
+from repro.netsim.wire import encode_udp, make_icmp_packet
 
 
 @dataclass
@@ -103,11 +102,12 @@ class OffPathAttacker:
         self.host.raw_send(packet)
         self.packets_sent += 1
 
-    def inject_train(self, train: UdpTrain) -> None:
+    def inject_train(self, train: UdpTrain | FragmentTrain) -> None:
         """Inject a (possibly spoofed) packet train and account each packet.
 
-        The flooding paths send runs of packets that differ in one
-        16-bit field; a train carries the run as one scheduler event.
+        The flooding and planting paths send runs of packets that differ
+        in one 16-bit field; a train carries the run as one scheduler
+        event.
         """
         self.host.raw_send_train(train)
         self.packets_sent += len(train)
@@ -124,19 +124,17 @@ class OffPathAttacker:
         self.host.raw_send(packet)
         self.packets_sent += 1
 
-    def spoof_fragment(self, src: str, dst: str, ident: int,
-                       frag_offset_bytes: int, payload: bytes,
-                       more_fragments: bool = False) -> None:
-        """Inject one raw IP fragment (the FragDNS planting primitive)."""
+    def spoof_fragments(self, src: str, dst: str, idents: Sequence[int],
+                        frag_offset_bytes: int, payload: bytes,
+                        more_fragments: bool = False) -> None:
+        """Inject one raw non-first IP fragment per IP ident (the FragDNS
+        planting primitive), as one :class:`FragmentTrain`."""
         if frag_offset_bytes % 8:
             raise ValueError("fragment offset must be 8-byte aligned")
-        packet = Ipv4Packet(
-            src=src, dst=dst, proto=PROTO_UDP, payload=payload,
-            ident=ident, mf=more_fragments,
-            frag_offset=frag_offset_bytes // 8,
-        )
-        self.host.raw_send(packet)
-        self.packets_sent += 1
+        self.inject_train(FragmentTrain(
+            src=src, dst=dst, payload=payload,
+            frag_offset=frag_offset_bytes // 8, idents=idents,
+            mf=more_fragments))
 
     def send_udp(self, dst: str, dport: int, payload: bytes,
                  sport: int | None = None) -> None:

@@ -20,6 +20,12 @@ genuine nameserver supplies.  Instead the attacker:
 
 Table 6's FragDNS numbers (hitrate 20% global / 0.1% random IP-ID,
 5 / 1024 queries, 325 / 65K packets) emerge from these mechanics.
+
+An attempt's planted fragments differ only in the IP ident, so they
+travel as one :class:`~repro.netsim.train.FragmentTrain` — one scheduler
+event, which the resolver's host settles by planting each fragment under
+its reassembly key — with every cache, count and outcome identical to
+planting them one by one.
 """
 
 from __future__ import annotations
@@ -298,13 +304,11 @@ class FragDnsAttack:
         ns_host = self.nameserver.host
         for attempt in range(config.max_attempts):
             result.iterations = attempt + 1
-            idents = self.predict_ipids()
-            for ident in idents:
-                self.attacker.spoof_fragment(
-                    src=self.nameserver.address, dst=self.resolver.address,
-                    ident=ident, frag_offset_bytes=boundary,
-                    payload=malicious_tail, more_fragments=False,
-                )
+            self.attacker.spoof_fragments(
+                src=self.nameserver.address, dst=self.resolver.address,
+                idents=self.predict_ipids(), frag_offset_bytes=boundary,
+                payload=malicious_tail,
+            )
             # World noise: other clients of the nameserver advance its
             # global IP-ID between our sample and the raced response.
             lo, hi = config.cross_traffic_advance

@@ -22,9 +22,13 @@ The numbers Table 6 reports (hitrate ≈ 0.2%, ≈ 497 triggered queries,
 
 Each probe batch and each flood chunk travels as one
 :class:`~repro.netsim.train.UdpTrain` — a single scheduler event that
-the resolver's host settles in bulk — so a flood costs a handful of
-events instead of 2^16, with every count, ICMP error and cache outcome
-identical to sending the packets one by one.
+the resolver's host settles in bulk — and the port-unreachable errors a
+batch earns travel back to the spoofed nameserver as one
+:class:`~repro.netsim.train.IcmpErrorTrain`.  A flood costs a handful of
+events instead of 2^16 and a probe round's ~50 errors cost one, with
+every count, ICMP error and cache outcome identical to sending the
+packets one by one; the per-packet IP idents come from one bulk draw
+(:meth:`~repro.core.rng.DeterministicRNG.uniform_ints`).
 """
 
 from __future__ import annotations
@@ -168,13 +172,12 @@ class SadDnsAttack:
             filler_port += 1
         attacker = self.attacker
         attacker.drain_icmp()
-        randint = attacker.rng.randint
         # One dport train: the batch arrives as one event, with the IP
         # idents spoof_udp would draw packet by packet.
         attacker.inject_train(UdpTrain(
             src=ns_ip, dst=resolver_ip, sport=DNS_PORT, dports=batch,
             payload=b"\x00\x00probe",
-            idents=[randint(0, 0xFFFF) for _ in batch],
+            idents=attacker.rng.uniform_ints(0, 0xFFFF, len(batch)),
         ))
         # Verification probe, same instant: the deterministic scheduler
         # delivers it after the batch, before any token refill.
@@ -224,7 +227,6 @@ class SadDnsAttack:
         resolver_ip = self.resolver.address
         ns_ip = self.nameserver.address
         attacker = self.attacker
-        pick_txid = attacker.rng.pick_txid
         # Encode once; only the two TXID bytes change across the flood.
         payload = encode_message(attacker.forge_response(
             names.normalise(qname), TYPE_A, 0, self.malicious_records,
@@ -235,7 +237,7 @@ class SadDnsAttack:
             attacker.inject_train(UdpTrain(
                 src=ns_ip, dst=resolver_ip, sport=DNS_PORT, dport=port,
                 payload=payload, txids=txids,
-                idents=[pick_txid() for _ in txids],
+                idents=attacker.rng.uniform_ints(0, 0xFFFF, len(txids)),
             ))
             # Give the chunk a full propagation delay before checking.
             self.network.run(0.012)

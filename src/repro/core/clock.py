@@ -139,8 +139,10 @@ class Scheduler:
         from the run loop; ``arm_budget()`` with no arguments disarms.
 
         Events are scheduler callbacks, not packets: a packet train
-        (:class:`repro.netsim.train.UdpTrain`, e.g. a whole SadDNS TXID
-        flood chunk) is delivered by one event and counts once.
+        (:mod:`repro.netsim.train` — a whole SadDNS TXID flood chunk or
+        probe batch, an attempt's FragDNS fragment plants, or the ICMP
+        errors a host returns for a train) is delivered by one event and
+        counts once.
         """
         self.event_budget = None if max_events is None \
             else self.executed + max_events

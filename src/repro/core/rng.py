@@ -13,12 +13,18 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 _sha256 = hashlib.sha256
 # The C-level Mersenne seeding, bypassing random.py's seed() wrapper on
 # the re-derive fast path (the wrapper's type dispatch is pure overhead
 # for an int seed; gauss_next is reset explicitly instead).
 _mersenne_seed = random.Random.__bases__[0].seed
+# Words drawn per ``getrandbits`` call in :meth:`uniform_ints`: bounds
+# the transient integer and byte buffer to 16 KB however many values a
+# caller asks for.
+_WORDS_PER_DRAW = 4096
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class DeterministicRNG(random.Random):
@@ -84,6 +90,40 @@ class DeterministicRNG(random.Random):
         while value >= width:
             value = getrandbits(bits)
         return low + value
+
+    def uniform_ints(self, low: int, high: int, count: int) -> list[int]:
+        """``count`` uniform integers from ``[low, high]``, both included.
+
+        Bit-identical to ``[randint(low, high) for _ in range(count)]``,
+        and leaves the generator in the same state.  For a width below
+        2^32 every try of CPython's ``_randbelow`` rejection loop
+        consumes exactly one 32-bit Mersenne word (``getrandbits(k)``
+        keeps its top ``k`` bits), so the words come in bulk from one
+        ``getrandbits(32 * n)`` call, whose integer holds them least
+        significant first.  Each round draws only as many words as
+        values are still missing, so it never consumes a word the loop
+        would not have; at most ``_WORDS_PER_DRAW`` words per round.
+        """
+        width = high - low + 1
+        if width <= 0:
+            raise ValueError(f"empty range: [{low}, {high}]")
+        if width > 0xFFFFFFFF:
+            raise ValueError(
+                f"width {width} needs more than one 32-bit word per try")
+        shift = 32 - width.bit_length()
+        getrandbits = self.getrandbits
+        values: list[int] = []
+        missing = count
+        while missing > 0:
+            words = min(missing, _WORDS_PER_DRAW)
+            block = memoryview(getrandbits(32 * words).to_bytes(
+                4 * words, sys.byteorder)).cast("I")
+            if _BIG_ENDIAN:
+                block = block[::-1]   # to_bytes put the last word first
+            values += [low + value for word in block
+                       if (value := word >> shift) < width]
+            missing = count - len(values)
+        return values
 
     def pick_port(self, low: int = 1024, high: int = 65535) -> int:
         """Draw a UDP source port uniformly from ``[low, high]``."""

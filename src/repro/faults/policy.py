@@ -35,7 +35,9 @@ class RunPolicy:
       blows either budget raises
       :class:`~repro.core.errors.BudgetExceededError`.  ``max_events``
       counts scheduler events, and a packet train (one SadDNS flood
-      chunk or probe batch) is one event however many packets it holds.
+      chunk or probe batch, one FragDNS attempt's fragment plants, or
+      the ICMP errors returned for a train) is one event however many
+      packets it holds.
     * ``retries`` / ``backoff`` bound the retry loop for
       :class:`~repro.core.errors.TransientError` failures — attempt *n*
       sleeps ``backoff * n`` seconds first.

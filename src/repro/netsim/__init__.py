@@ -33,7 +33,7 @@ from repro.netsim.packet import (
     UdpDatagram,
 )
 from repro.netsim.ratelimit import TokenBucket
-from repro.netsim.train import UdpTrain
+from repro.netsim.train import FragmentTrain, IcmpErrorTrain, UdpTrain
 from repro.netsim.wire import (
     decode_ipv4,
     decode_udp_payload,
@@ -42,6 +42,7 @@ from repro.netsim.wire import (
 )
 
 __all__ = [
+    "FragmentTrain",
     "GlobalCounterIPID",
     "Host",
     "ICMP_DEST_UNREACHABLE",
@@ -50,6 +51,7 @@ __all__ = [
     "ICMP_FRAG_NEEDED",
     "ICMP_PORT_UNREACHABLE",
     "IPIDAllocator",
+    "IcmpErrorTrain",
     "IcmpMessage",
     "Ipv4Packet",
     "Network",

@@ -105,6 +105,34 @@ class ReassemblyCache:
             del partials[oldest]
             self.timeouts += 1
 
+    def _make_room(self) -> None:
+        if len(self._partials) >= self.capacity:
+            # Evict the oldest entry, as Linux does under memory
+            # pressure.  The attacker's cache-filling trick exploits
+            # exactly this bound.
+            del self._partials[next(iter(self._partials))]
+            self.evictions += 1
+
+    def plant(self, key: tuple[str, str, int, int], offset: int,
+              payload: bytes, more_fragments: bool, now: float) -> bool:
+        """Start a partial datagram with one non-first fragment.
+
+        ``offset`` is in bytes.  Equivalent to :meth:`add` of that
+        fragment when ``key`` holds no partial yet — a lone non-first
+        fragment never completes a datagram, so no packet is built and
+        no reassembly is tried.  Returns False, changing nothing but the
+        expiry, when ``key`` already holds a partial; use :meth:`add`.
+        """
+        self.expire(now)
+        if key in self._partials:
+            return False
+        self._make_room()
+        self._partials[key] = _PartialDatagram(
+            first_seen=now,
+            total_length=None if more_fragments else offset + len(payload),
+            spans={offset: payload})
+        return True
+
     def add(self, fragment: Ipv4Packet, now: float) -> Ipv4Packet | None:
         """Insert a fragment; return the reassembled packet if complete."""
         if not fragment.is_fragment:
@@ -113,12 +141,7 @@ class ReassemblyCache:
         key = fragment.fragment_key
         partial = self._partials.get(key)
         if partial is None:
-            if len(self._partials) >= self.capacity:
-                # Evict the oldest entry, as Linux does under memory
-                # pressure.  The attacker's cache-filling trick exploits
-                # exactly this bound.
-                del self._partials[next(iter(self._partials))]
-                self.evictions += 1
+            self._make_room()
             partial = _PartialDatagram(first_seen=now)
             self._partials[key] = partial
         partial.add(fragment)

@@ -32,6 +32,13 @@ from repro.netsim.packet import (
     UdpDatagram,
 )
 from repro.netsim.ratelimit import TokenBucket
+from repro.netsim.train import (
+    EMBEDDED_LEN,
+    FragmentTrain,
+    IcmpErrorTrain,
+    Train,
+    UdpTrain,
+)
 from repro.netsim.wire import (
     attach_transport,
     encode_ipv4,
@@ -41,7 +48,6 @@ from repro.netsim.wire import (
 
 if TYPE_CHECKING:
     from repro.netsim.network import Network
-    from repro.netsim.train import UdpTrain
 
 UdpHandler = Callable[[UdpDatagram, str, str], None]
 # Settles packets ``i..`` of a TXID train landing on the socket and
@@ -285,7 +291,7 @@ class Host:
         self.stats.sent += 1
         self.network.transmit(packet, origin=self)
 
-    def raw_send_train(self, train: "UdpTrain") -> None:
+    def raw_send_train(self, train: Train) -> None:
         """:meth:`raw_send` for every packet of ``train``, as one event."""
         if self.network is None:
             raise RuntimeError(f"{self.name} is not attached to a network")
@@ -333,46 +339,78 @@ class Host:
             if not self.config.accept_fragments:
                 return  # fragment-filtering firewall (Section 6.1)
             reassembled = self.reassembly.add(packet, self.now)
-            if reassembled is None:
-                return
-            self.stats.reassembled += 1
-            try:
-                packet = attach_transport(reassembled)
-            except WireFormatError:
-                self.stats.checksum_drops += 1
-                if self.network is not None and self.network.log.enabled:
-                    self.network.log.record(
-                        self.now, self.name, "ip.checksum_drop",
-                        "reassembled datagram failed checksum",
-                    )
-                return
-        elif packet.udp is None and packet.icmp is None:
+            if reassembled is not None:
+                self._deliver_reassembled(reassembled)
+            return
+        if packet.udp is None and packet.icmp is None:
             try:
                 packet = attach_transport(packet)
             except WireFormatError:
                 self.stats.checksum_drops += 1
                 return
+        self._deliver_transport(packet)
+
+    def _deliver_reassembled(self, datagram: Ipv4Packet) -> None:
+        """Verify and deliver a datagram the reassembly cache completed."""
+        self.stats.reassembled += 1
+        try:
+            packet = attach_transport(datagram)
+        except WireFormatError:
+            self.stats.checksum_drops += 1
+            if self.network is not None and self.network.log.enabled:
+                self.network.log.record(
+                    self.now, self.name, "ip.checksum_drop",
+                    "reassembled datagram failed checksum",
+                )
+            return
+        self._deliver_transport(packet)
+
+    def _deliver_transport(self, packet: Ipv4Packet) -> None:
         if packet.proto == PROTO_UDP and packet.udp is not None:
             self._deliver_udp(packet)
         elif packet.proto == PROTO_ICMP and packet.icmp is not None:
             self._deliver_icmp(packet)
 
-    def receive_train(self, train: "UdpTrain") -> None:
+    def receive_train(self, train: Train) -> None:
         """Settle a delivered train exactly as :meth:`receive` would each
         of its packets, in order.
 
-        Packets landing on a closed port are counted in bulk and spend
-        the ICMP budget in one step; only the packets that earn an error
-        are materialised (the error embeds their header).  A run landing
-        on an open socket goes to the socket's ``train_handler``, and the
-        socket state is re-read after each handled run, because the
-        handler may close the socket or re-bind the port.
+        A packet tap or a train addressed elsewhere sees the packets one
+        by one.  Otherwise the settling depends on the kind of train:
+
+        * a :class:`UdpTrain` — packets landing on a closed port are
+          counted in bulk and spend the ICMP budget in one step, and
+          the errors they earn leave as one :class:`IcmpErrorTrain`.  A
+          run landing on an open socket goes to the socket's
+          ``train_handler``, and the socket state is re-read after each
+          handled run, because the handler may close the socket or
+          re-bind the port;
+        * a :class:`FragmentTrain` — each fragment whose reassembly key
+          is new is planted without building its packet; one that meets
+          a partial datagram goes through :meth:`ReassemblyCache.add`
+          and, when that completes the datagram, is delivered;
+        * an :class:`IcmpErrorTrain` — counted in one step when nothing
+          would see the errors (no ICMP listener, no error handler on
+          the socket they demultiplex to), else delivered one by one.
         """
+        if self.packet_tap is None and self.owns(train.dst):
+            if isinstance(train, UdpTrain):
+                self._receive_udp_train(train)
+                return
+            if isinstance(train, FragmentTrain):
+                self._receive_fragment_train(train)
+                return
+            # An IcmpErrorTrain: every error embeds the same source port.
+            socket = self._sockets.get(train.sport)
+            if self.icmp_listener is None and (
+                    socket is None or socket.error_handler is None):
+                self.stats.received += len(train)
+                return
+        for i in range(len(train)):
+            self.receive(train.packet(i))
+
+    def _receive_udp_train(self, train: UdpTrain) -> None:
         count = len(train)
-        if self.packet_tap is not None or not self.owns(train.dst):
-            for i in range(count):
-                self.receive(train.packet(i))
-            return
         self.stats.received += count
         sockets = self._sockets
         dports = train.dports
@@ -398,33 +436,72 @@ class Host:
                 self._deliver_udp(train.packet(i))
                 i += 1
 
-    def _closed_port_train(self, train: "UdpTrain", start: int,
+    def _receive_fragment_train(self, train: FragmentTrain) -> None:
+        self.stats.received += len(train)
+        if not self.config.accept_fragments:
+            return  # fragment-filtering firewall (Section 6.1)
+        cache = self.reassembly
+        now = self.now
+        src, dst, payload, mf = train.src, train.dst, train.payload, train.mf
+        offset = train.frag_offset * 8
+        for i, ident in enumerate(train.idents):
+            if cache.plant((src, dst, PROTO_UDP, ident), offset, payload,
+                           mf, now):
+                continue
+            reassembled = cache.add(train.packet(i), now)
+            if reassembled is not None:
+                self._deliver_reassembled(reassembled)
+
+    def _closed_port_train(self, train: UdpTrain, start: int,
                            end: int) -> None:
-        """Packets ``start..end-1`` of ``train`` hit closed ports."""
+        """Packets ``start..end-1`` of ``train`` hit closed ports.
+
+        The ICMP budget decides which of them earn an error exactly as
+        it would packet by packet; the errors then leave as one train.
+        """
         self.stats.udp_to_closed_port += end - start
         if not self.config.respond_port_unreachable:
             return
         bucket = self._icmp_bucket
         now = self.now
-        if bucket is not None and self.config.icmp_limit_randomized:
-            randint = self.rng.randint
+        if bucket is None:
+            selected: range | list[int] = range(start, end)
+        elif self.config.icmp_limit_randomized:
+            allow = bucket.allow
+            jitters = self.rng.uniform_ints(0, 5, end - start)
+            selected = [i for i, jitter in zip(range(start, end), jitters)
+                        if allow(now, cost=1 + jitter)]
+            self.stats.icmp_errors_suppressed += \
+                end - start - len(selected)
+        else:
+            granted = end
             for i in range(start, end):
-                if bucket.allow(now, cost=1 + randint(0, 5)):
-                    self._send_port_unreachable(train.packet(i))
-                else:
-                    self.stats.icmp_errors_suppressed += 1
-            return
-        for i in range(start, end):
-            if bucket is not None:
                 if bucket.peek(now) < 1.0:
                     # Time stands still inside the train: every later
                     # packet is refused too.
-                    suppressed = end - i
-                    bucket.denied += suppressed
-                    self.stats.icmp_errors_suppressed += suppressed
-                    return
+                    granted = i
+                    bucket.denied += end - i
+                    self.stats.icmp_errors_suppressed += end - i
+                    break
                 bucket.allow(now)
-            self._send_port_unreachable(train.packet(i))
+            selected = range(start, granted)
+        if selected:
+            self._send_error_train(train, selected)
+
+    def _send_error_train(self, train: UdpTrain,
+                          indices: range | list[int]) -> None:
+        """:meth:`_send_port_unreachable` for each of ``indices``, as one
+        :class:`IcmpErrorTrain` (errors never fragment)."""
+        if self.network is None:
+            raise RuntimeError(f"{self.name} is not attached to a network")
+        count = len(indices)
+        next_id = self.ipid.next_id
+        dst = train.src
+        errors = IcmpErrorTrain(self.address, train, indices,
+                                [next_id(dst) for _ in range(count)])
+        self.stats.icmp_errors_sent += count
+        self.stats.sent += count
+        self.network.transmit_train(errors, origin=self)
 
     def _deliver_udp(self, packet: Ipv4Packet) -> None:
         assert packet.udp is not None
@@ -455,7 +532,7 @@ class Host:
 
     def _send_port_unreachable(self, packet: Ipv4Packet) -> None:
         self.stats.icmp_errors_sent += 1
-        embedded = encode_ipv4(packet)[:28]  # IP header + 8 payload bytes
+        embedded = encode_ipv4(packet)[:EMBEDDED_LEN]
         self.send_icmp(
             packet.src,
             IcmpMessage(icmp_type=ICMP_DEST_UNREACHABLE,

@@ -18,7 +18,7 @@ from repro.core.clock import Scheduler
 from repro.core.eventlog import EventLog
 from repro.netsim.host import Host
 from repro.netsim.packet import Ipv4Packet
-from repro.netsim.train import UdpTrain
+from repro.netsim.train import Train
 
 # An interceptor looks at an in-flight packet and may claim it by
 # returning the host that should receive it instead of the owner.
@@ -208,9 +208,13 @@ class Network:
         # No closure, no handle: deliveries are never cancelled.
         self.scheduler.schedule(latency, self._deliver, packet, target)
 
-    def transmit_train(self, train: UdpTrain,
+    def transmit_train(self, train: Train,
                        origin: Host | None = None) -> None:
         """:meth:`transmit` every packet of ``train`` as one scheduler event.
+
+        ``train`` is any :mod:`repro.netsim.train` kind: a UDP flood
+        chunk or probe batch, a run of planted fragments, or the ICMP
+        errors a host returns for a UDP train.
 
         The whole train shares one route and one latency, so it is
         delivered in a single ``_deliver_train`` event and the receiver
@@ -235,7 +239,7 @@ class Network:
             (train.src, train.dst), self.default_latency)
         self.scheduler.schedule(latency, self._deliver_train, train, target)
 
-    def _deliver_train(self, train: UdpTrain, target: Host) -> None:
+    def _deliver_train(self, train: Train, target: Host) -> None:
         count = len(train)
         self.stats.delivered += count
         self.stats.per_destination[train.dst] += count

@@ -1,6 +1,7 @@
 """Tests for deterministic namespaced randomness."""
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.rng import DeterministicRNG, derive_rng
 
@@ -77,3 +78,38 @@ class TestHelpers:
     def test_derive_rng_shortcut(self):
         assert derive_rng(5, "x").random() == \
             DeterministicRNG(5).derive("x").random()
+
+
+class TestUniformInts:
+    """``uniform_ints`` is the ``randint`` loop, drawn in bulk."""
+
+    # 2^32 - 1 is the widest range one 32-bit word per try can serve;
+    # 4,097 and 9,000 values cross the 4,096-word chunk boundary.
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.sampled_from([1, 2, 6, 2**16, 2**31, 2**32 - 1]),
+           count=st.sampled_from([0, 1, 50, 4097, 9000]),
+           low=st.integers(min_value=-2**40, max_value=2**40),
+           seed=st.integers(min_value=0, max_value=2**16),
+           warmup=st.integers(min_value=0, max_value=3))
+    def test_matches_randint_loop_and_state(self, width, count, low, seed,
+                                            warmup):
+        bulk, loop = DeterministicRNG(seed), DeterministicRNG(seed)
+        for rng in (bulk, loop):
+            rng.getrandbits(32 * warmup + 1)
+        high = low + width - 1
+        assert bulk.uniform_ints(low, high, count) == \
+            [loop.randint(low, high) for _ in range(count)]
+        assert bulk.getstate() == loop.getstate()
+
+    def test_empty_range_raises_like_randint(self):
+        rng = DeterministicRNG(1)
+        with pytest.raises(ValueError):
+            rng.randint(5, 4)
+        with pytest.raises(ValueError):
+            rng.uniform_ints(5, 4, 3)
+
+    @pytest.mark.parametrize("width", [2**32, 2**32 + 1, 2**40])
+    def test_multi_word_widths_raise(self, width):
+        # CPython's _randbelow draws two words per try at these widths.
+        with pytest.raises(ValueError):
+            DeterministicRNG(1).uniform_ints(0, width - 1, 1)
