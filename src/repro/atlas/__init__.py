@@ -11,7 +11,7 @@ those numbers honest statistically; the atlas makes them *computable*:
   seekable, stream in constant memory, and a shard-merge equals the
   monolithic stream bit-for-bit;
 * **parallel scan pipeline** (:mod:`repro.atlas.pipeline`) — shards run
-  on ``concurrent.futures`` process workers and return mergeable
+  on the shared task dispatcher's process workers and return mergeable
   :class:`repro.atlas.aggregate.ScanAggregate` counters/histograms,
   scaling Tables 3 and 4 to the paper's full dataset sizes;
 * **persistent result store** (:mod:`repro.atlas.store`) — an
@@ -57,13 +57,6 @@ from repro.atlas.calibrate import (
     profile_for_stratum,
     project_deployment,
 )
-from repro.atlas.pipeline import (
-    AtlasScanReport,
-    all_dataset_specs,
-    run_tasks,
-    scan_dataset,
-    scan_many,
-)
 from repro.atlas.shards import (
     ShardRange,
     dataset_kind,
@@ -78,6 +71,22 @@ from repro.atlas.synth import (
     iter_front_ends,
     stream_checksum,
 )
+
+#: Scan-pipeline names re-exported lazily: the pipeline imports the
+#: vector kernel from repro.parallel, and the kernel imports this
+#: package's aggregate, shard and synth modules — an eager import here
+#: would cycle whenever the kernel is imported first.
+_PIPELINE_EXPORTS = ("AtlasScanReport", "all_dataset_specs",
+                     "scan_dataset", "scan_many")
+
+
+def __getattr__(name: str):
+    if name in _PIPELINE_EXPORTS:
+        from repro.atlas import pipeline
+
+        return getattr(pipeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AtlasScanReport",
@@ -99,7 +108,6 @@ __all__ = [
     "iter_front_ends",
     "population_spec_hash",
     "profile_for_stratum",
-    "run_tasks",
     "scan_dataset",
     "scan_many",
     "shard_ranges",

@@ -1,12 +1,14 @@
 """Parallel scan pipeline: shard producers × Section 5 scanners.
 
-Each shard is one task — ``(spec, seed, lo, hi)`` — shipped to a
-``concurrent.futures`` process worker that *streams* its entities
-through the scanners and returns only a mergeable
-:class:`repro.atlas.aggregate.ScanAggregate`, never the entities
-themselves.  Because every entity is seeded by its own index
-(:mod:`repro.atlas.synth`), the merged result is bit-identical across
-the serial and process executors and across any shard count.
+Each shard is one task — ``(spec, seed, shard, spec_hash, kernel)`` —
+handed by :class:`repro.parallel.scheduler.Dispatch` to a pool worker
+that folds the shard's entities through the vector kernel and returns
+only a mergeable :class:`repro.atlas.aggregate.ScanAggregate`, never
+the entities themselves.  Because every entity is seeded by its own
+index (:mod:`repro.atlas.synth`), the merged result is bit-identical
+across executors and across any shard count.  Callers that need the
+entities themselves take them from :func:`repro.atlas.synth.
+iter_entities` over the same index range.
 
 With a :class:`repro.atlas.store.AtlasStore` attached, completed shards
 are appended as they finish and a rerun of an interrupted scan
@@ -16,7 +18,6 @@ recomputes only the shards the store is missing.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -24,8 +25,7 @@ from repro.atlas.aggregate import ScanAggregate
 from repro.obs import OBS
 from repro.obs.profile import STAGE_EDGES_MS, stage
 from repro.parallel.kernel import VectorScanner, check_kernel, scan_range
-from repro.parallel.scheduler import run_stealing
-from repro.parallel.workers import resolve_workers
+from repro.parallel.scheduler import Dispatch
 from repro.atlas.shards import (
     DatasetSpec,
     ShardRange,
@@ -34,63 +34,12 @@ from repro.atlas.shards import (
     shard_ranges,
 )
 from repro.atlas.store import AtlasStore, ShardRecord
-from repro.atlas.synth import iter_entities
-from repro.measurements.population import (
-    DOMAIN_DATASETS,
-    RESOLVER_DATASETS,
-    DomainProfile,
-    FrontEnd,
-)
+from repro.measurements.population import DOMAIN_DATASETS, RESOLVER_DATASETS
 from repro.measurements.scanner import SurveySummary
-
-EXECUTORS = ("process", "serial")
-
-
-def run_tasks(fn: Callable[[Any], Any], tasks: list[Any],
-              workers: int | str | None = None,
-              executor: str = "process",
-              on_result: Callable[[int, Any], None] | None = None
-              ) -> tuple[list[Any], str, int]:
-    """Map picklable tasks over a process pool (or the serial reference).
-
-    Returns ``(results, executor_used, workers_used)``; the pool
-    downgrades to the serial loop when it could not help (one worker or
-    one task), mirroring the campaign runner's behaviour so 1-vCPU
-    hosts document serial parity instead of paying pool overhead.
-
-    Results stream: ``on_result(index, result)`` fires as each task
-    finishes (completion order on the pool, task order on the serial
-    loop), so callers can merge aggregates or append to stores while
-    later tasks are still computing instead of waiting on an eager
-    end-of-run list.  The returned list is always in task order.
-    """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; pick one of {EXECUTORS}")
-    count = resolve_workers(workers)
-    count = min(count, len(tasks)) or 1
-    if executor == "process" and count == 1:
-        executor = "serial"
-    if executor == "serial":
-        results = []
-        for index, task in enumerate(tasks):
-            result = fn(task)
-            results.append(result)
-            if on_result is not None:
-                on_result(index, result)
-        return results, "serial", 1
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        # Work-stealing dispatch: a bounded window of in-flight futures
-        # keeps every worker busy regardless of per-shard skew, and the
-        # first result merges before the last shard is computed.
-        results = run_stealing(pool, fn, tasks, window=2 * count,
-                               on_result=on_result)
-    return results, "process", count
-
 
 def _scan_shard(task: tuple[DatasetSpec, Any, ShardRange, str, str]
                 ) -> ShardRecord:
-    """Worker entry point: scan one shard into an aggregate.
+    """Pool (and claim-mode) entry point: scan one shard into a record.
 
     Runs the batch-vectorised columnar kernel — bit-identical to
     streaming the shard's entities through the serial observers, which
@@ -188,7 +137,6 @@ class AtlasScanReport:
     aggregate: ScanAggregate
     summary: SurveySummary
     notes: list[str] = field(default_factory=list)
-    entities_kept: list[FrontEnd | DomainProfile] | None = None
 
     @property
     def entities_per_second(self) -> float:
@@ -203,7 +151,6 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
                  workers: int | str | None = None,
                  executor: str = "process",
                  store: AtlasStore | None = None,
-                 keep_entities: bool = False,
                  kernel: str = "auto") -> AtlasScanReport:
     """Scan one dataset's synthetic population, sharded and resumable.
 
@@ -211,20 +158,17 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
     for open resolvers) — the atlas exists so that is computable, not
     extrapolated.  Pass a smaller count for sampled runs.
 
-    ``workers`` accepts a count, ``None`` (capped default) or
-    ``"auto"`` (every schedulable CPU); ``kernel`` is ``"auto"`` (the
-    vector kernel) or ``"scalar"`` (the per-entity reference) — both
-    bit-identical, see :mod:`repro.parallel.kernel`.
-
-    ``keep_entities`` retains the generated entities on the report (for
-    the sampled experiment paths that also need per-entity access, e.g.
-    the Figure 5 Venn flags); it forces the serial executor, holds the
-    whole population in memory, and cannot be combined with a store.
+    ``executor`` and ``workers`` (a count, ``None`` for the capped
+    default, or ``"auto"`` for every schedulable CPU) go to
+    :class:`repro.parallel.scheduler.Dispatch`, which downgrades a pool
+    that could not help (one worker or one missing shard) to the serial
+    path; the report records the executor and worker count used.  The
+    serial path scans each contiguous run of missing shards in one
+    columnar pass.  ``kernel`` is ``"auto"`` (the vector kernel) or
+    ``"scalar"`` (the per-entity reference) — both bit-identical, see
+    :mod:`repro.parallel.kernel`.
     """
     kind = dataset_kind(spec)
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; pick one of {EXECUTORS}")
     check_kernel(kernel)
     if entities is not None and entities < 0:
         raise ValueError(f"entities must be >= 0, got {entities}")
@@ -247,15 +191,16 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
                     f"stored shard {shard_id} has a different range; "
                     "recomputing")
     missing = [r for r in ranges if r.shard_id not in cached]
+    dispatch = Dispatch.plan(executor, workers, len(missing))
 
-    if keep_entities:
+    # Stream every completed shard straight into the store: an
+    # interrupted scan keeps everything finished so far, and memory
+    # never holds more than the (small) aggregate records.
+    def on_result(_index: int, record: ShardRecord) -> None:
+        if OBS.enabled:
+            _observe_shard(record)
         if store is not None:
-            # Cached shards would be missing from entities_kept while
-            # the aggregate covered them — a silently partial list.
-            raise ValueError(
-                "keep_entities cannot be combined with a store; "
-                "materialised runs always regenerate")
-        executor = "serial"
+            store.append(record)
 
     scan_span = None
     if OBS.enabled:
@@ -265,62 +210,16 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
         if cached:
             OBS.counter("atlas.shards_cached_total",
                         dataset=spec.key).inc(len(cached))
-    kept: list[FrontEnd | DomainProfile] | None = None
     try:
         with stage("atlas.scan", dataset=spec.key) as timer:
-            if keep_entities:
-                # Serial streaming path that also materialises the
-                # entities: used by the sampled Table 3/4 runs which
-                # hand populations to Figures 3/5.
-                kept = []
-                fresh = []
-                for shard in missing:
-                    aggregate = ScanAggregate(kind=kind)
-                    shard_started = time.perf_counter()
-                    for entity in iter_entities(spec, seed=seed,
-                                                lo=shard.lo,
-                                                hi=shard.hi):
-                        kept.append(entity)
-                        aggregate.observe(entity)
-                    fresh.append(ShardRecord(
-                        spec_hash=spec_hash, shard_id=shard.shard_id,
-                        dataset=spec.key, kind=kind, lo=shard.lo,
-                        hi=shard.hi,
-                        wall_time=time.perf_counter() - shard_started,
-                        aggregate=aggregate,
-                    ))
-                executor_used, workers_used = "serial", 1
-                if OBS.enabled:
-                    for record in fresh:
-                        _observe_shard(record)
-                if store is not None:
-                    for record in fresh:
-                        store.append(record)
+            if dispatch.executor == "serial":
+                fresh = _scan_missing_serial(spec, seed, missing,
+                                             spec_hash, kernel, on_result)
             else:
-                # Stream every completed shard straight into the
-                # store: an interrupted scan keeps everything finished
-                # so far, and memory never holds more than the (small)
-                # aggregate records.
-                def on_result(_index: int,
-                              record: ShardRecord) -> None:
-                    if OBS.enabled:
-                        _observe_shard(record)
-                    if store is not None:
-                        store.append(record)
-
-                count = min(resolve_workers(workers),
-                            len(missing)) or 1
-                if executor == "serial" or count == 1:
-                    fresh = _scan_missing_serial(
-                        spec, seed, missing, spec_hash, kernel,
-                        on_result)
-                    executor_used, workers_used = "serial", 1
-                else:
-                    tasks = [(spec, seed, shard, spec_hash, kernel)
-                             for shard in missing]
-                    fresh, executor_used, workers_used = run_tasks(
-                        _scan_shard, tasks, workers=count,
-                        executor=executor, on_result=on_result)
+                tasks = [(spec, seed, shard, spec_hash, kernel)
+                         for shard in missing]
+                fresh = dispatch.map(_scan_shard, tasks,
+                                     on_result=on_result)
     finally:
         if scan_span is not None:
             OBS.spans.finish(scan_span)
@@ -333,10 +232,9 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
         notes.append(
             f"resumed: {len(cached)}/{len(ranges)} shards loaded from "
             "the store, only the rest recomputed")
-    if executor == "process" and executor_used == "serial" and missing:
-        notes.append("process executor downgraded to serial "
-                     "(one worker or one shard)")
-    report = AtlasScanReport(
+    if dispatch.note:
+        notes.append(dispatch.note)
+    return AtlasScanReport(
         dataset=spec.key,
         label=spec.label,
         kind=kind,
@@ -348,14 +246,12 @@ def scan_dataset(spec: DatasetSpec, seed: int | str = 0,
         cached_shards=sorted(cached),
         computed_entities=sum(r.hi - r.lo for r in fresh),
         wall_clock=wall_clock,
-        executor=executor_used,
-        workers=workers_used,
+        executor=dispatch.executor,
+        workers=dispatch.workers,
         aggregate=aggregate,
         summary=aggregate.to_summary(spec.label, spec.full_size),
         notes=notes,
-        entities_kept=kept,
     )
-    return report
 
 
 def scan_many(specs: Iterable[DatasetSpec], seed: int | str = 0,

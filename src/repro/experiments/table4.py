@@ -8,6 +8,7 @@ split.
 from __future__ import annotations
 
 from repro.atlas.pipeline import AtlasScanReport, scan_dataset
+from repro.atlas.synth import iter_entities
 from repro.experiments.base import ExperimentResult
 from repro.measurements.population import (
     DOMAIN_DATASETS,
@@ -63,12 +64,12 @@ def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     summaries = {}
     populations = {}
     for spec in DOMAIN_DATASETS:
-        report = scan_dataset(
-            spec, seed=seed, entities=sample_size(spec.full_size, scale),
-            shards=1, executor="serial", keep_entities=True,
-        )
+        size = sample_size(spec.full_size, scale)
+        report = scan_dataset(spec, seed=seed, entities=size, shards=1,
+                              executor="serial")
         summaries[spec.key] = report.summary
-        populations[spec.key] = report.entities_kept
+        populations[spec.key] = list(
+            iter_entities(spec, seed=seed, lo=0, hi=size))
         rows.append(_row(spec, report.summary))
     return _result(rows, summaries, {"populations": populations},
                    [SEMANTICS_NOTE])

@@ -6,20 +6,20 @@ query, and the experiment observes whether the A query was answered
 from cache (no new upstream query) — exactly the paper's test.
 
 The five implementation cells are independent seeded testbeds, so they
-run through the same :func:`repro.atlas.pipeline.run_tasks` worker pool
-the population scans use — ``run(workers=4)`` fans them out across
-processes with bit-identical verdicts.
+run through the same :class:`repro.parallel.scheduler.Dispatch` the
+population scans and campaigns use — ``run(workers=4)`` fans them out
+across processes with bit-identical verdicts.
 """
 
 from __future__ import annotations
 
-from repro.atlas.pipeline import run_tasks
 from repro.dns.impls import ALL_IMPLEMENTATIONS, TABLE5_EXPECTED
 from repro.dns.records import QTYPE_ANY, TYPE_A, rr_a, rr_mx, rr_txt
 from repro.dns.resolver import ResolverConfig
 from repro.dns.stub import StubResolver
 from repro.experiments.base import ExperimentResult
 from repro.measurements.report import render_table
+from repro.parallel.scheduler import Dispatch
 from repro.testbed import Testbed
 
 
@@ -70,11 +70,9 @@ def run(seed: int = 0, workers: int | None = None) -> ExperimentResult:
     matches = 0
     tasks = [(profile, f"table5-{seed}-{profile.name}")
              for profile in ALL_IMPLEMENTATIONS]
-    cells, executor, _pool_size = run_tasks(
-        _run_cell, tasks, workers=workers if workers is not None else 1,
-        executor="process" if workers is not None and workers > 1
-        else "serial",
-    )
+    dispatch = Dispatch.plan(
+        "process", workers if workers is not None else 1, len(tasks))
+    cells = dispatch.map(_run_cell, tasks)
     for label, vulnerable, note in cells:
         rows.append([label, "yes" if vulnerable else "no", note])
         expected = TABLE5_EXPECTED.get(label)
@@ -88,7 +86,7 @@ def run(seed: int = 0, workers: int | None = None) -> ExperimentResult:
         rows=rows,
         paper_reference=TABLE5_EXPECTED,
         data={"matches": matches, "total": len(ALL_IMPLEMENTATIONS),
-              "executor": executor},
+              "executor": dispatch.executor},
     )
     result.rendered = render_table(headers, rows, title=result.title)
     result.notes.append(

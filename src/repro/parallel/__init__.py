@@ -6,8 +6,9 @@ Three pillars, all bit-identical to the serial reference paths:
   (lockstep MT19937 over numpy, checked against a per-entity scalar
   reference),
 * :mod:`repro.parallel.scheduler` + :mod:`repro.parallel.workers` —
-  work-stealing shard dispatch and the shared ``--workers auto``
-  resolver,
+  :class:`Dispatch`, the one task dispatcher campaigns, atlas scans and
+  Table 5 share (executor choice, serial downgrade, work-stealing
+  pools), and the shared ``--workers auto`` resolver,
 * :mod:`repro.parallel.claim` — multi-process/multi-host shard leasing
   over the atlas JSONL store with TTL expiry and idempotent re-claims.
 
@@ -35,19 +36,39 @@ Command line::
     python -m repro.parallel bench --entities 40000
 """
 
-from repro.parallel.claim import (
-    ClaimOutcome,
-    claim_shard,
-    claim_worker,
-    merge_claimed,
-    release_shard,
-)
-from repro.parallel.kernel import VectorScanner, scan_range
-from repro.parallel.scheduler import run_stealing
+import importlib
+
+
+from repro.parallel.scheduler import Dispatch, run_stealing
 from repro.parallel.workers import cpu_count, resolve_workers
+
+#: Names re-exported lazily: the claim and kernel modules pull in the
+#: atlas and numpy, while the dispatcher sits below the campaign and
+#: atlas layers — eager imports here would make every
+#: ``repro.parallel.scheduler`` import (a serial campaign's, say) pay
+#: for both, and would cycle through the atlas calibration bridge.
+_LAZY_EXPORTS = {
+    "ClaimOutcome": "claim",
+    "claim_shard": "claim",
+    "claim_worker": "claim",
+    "merge_claimed": "claim",
+    "release_shard": "claim",
+    "VectorScanner": "kernel",
+    "scan_range": "kernel",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        module = importlib.import_module(
+            f"repro.parallel.{_LAZY_EXPORTS[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ClaimOutcome",
+    "Dispatch",
     "VectorScanner",
     "claim_shard",
     "claim_worker",

@@ -28,13 +28,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.atlas.shards import (
-    DatasetSpec,
-    dataset_kind,
-    population_spec_hash,
-    shard_ranges,
-)
-from repro.atlas.store import AtlasStore, ShardRecord
+from repro.atlas.shards import DatasetSpec, population_spec_hash, shard_ranges
+from repro.atlas.store import AtlasStore
 from repro.obs import OBS
 
 #: Default lease time-to-live.  Heartbeats refresh the lease after
@@ -136,18 +131,21 @@ def claim_worker(spec: DatasetSpec, seed: int | str = 0,
     """
     if store is None:
         raise ValueError("claim mode requires a store")
-    from repro.parallel.kernel import scan_range
+    # Imported here: the pipeline imports the kernel from this package,
+    # so a module-level import would be circular.
+    from repro.atlas.pipeline import _observe_shard, _scan_shard
 
     worker = worker or f"{os.uname().nodename}-{os.getpid()}"
-    kind = dataset_kind(spec)
     total = min(entities, spec.full_size) if entities is not None \
         else spec.full_size
     spec_hash = population_spec_hash(spec, seed, total)
     ranges = shard_ranges(total, shards)
     outcome = ClaimOutcome(worker=worker, scanned=[], skipped=[],
                            broken=[])
+    # One store read per pass: it both ends this pass and lists the
+    # next pass's unstored shards.
+    done = set(store.load(spec_hash))
     while True:
-        done = set(store.load(spec_hash))
         todo = [r for r in ranges if r.shard_id not in done]
         if not todo:
             break
@@ -164,30 +162,18 @@ def claim_worker(spec: DatasetSpec, seed: int | str = 0,
                                 worker=worker).inc()
                 continue
             claimed_any = True
-            started = time.perf_counter()
-            aggregate = scan_range(spec, seed, shard.lo, shard.hi)
-            record = ShardRecord(
-                spec_hash=spec_hash, shard_id=shard.shard_id,
-                dataset=spec.key, kind=kind, lo=shard.lo, hi=shard.hi,
-                wall_time=time.perf_counter() - started,
-                aggregate=aggregate,
-            )
+            record = _scan_shard((spec, seed, shard, spec_hash, "auto"))
             store.append(record)
             release_shard(store, spec_hash, shard.shard_id)
             outcome.scanned.append(shard.shard_id)
             if OBS.enabled:
-                from repro.atlas.pipeline import _observe_shard
-
                 _observe_shard(record)
                 OBS.counter("claim.shards_scanned_total",
                             worker=worker).inc()
-        if not claimed_any:
+        done = set(store.load(spec_hash))
+        if not claimed_any and any(r.shard_id not in done for r in ranges):
             # Everything left is leased by live workers; let them
             # finish (or their leases expire) before the next pass.
-            remaining = [r for r in ranges
-                         if r.shard_id not in set(store.load(spec_hash))]
-            if not remaining:
-                break
             time.sleep(min(1.0, ttl / 4))
     return outcome
 

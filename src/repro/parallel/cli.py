@@ -24,8 +24,7 @@ from repro.atlas.pipeline import scan_dataset
 from repro.atlas.shards import find_dataset
 from repro.atlas.store import AtlasStore
 from repro.parallel.claim import DEFAULT_TTL, claim_worker, merge_claimed
-from repro.parallel.workers import (cpu_count, parse_workers,
-                                    resolve_workers)
+from repro.parallel.workers import cpu_count, parse_workers
 
 
 def aggregate_checksum(report) -> str:
@@ -84,7 +83,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec = find_dataset(args.dataset)
-    workers = resolve_workers(args.workers if args.workers else "auto")
     with stage("parallel.bench", executor="serial") as serial_timer:
         serial = scan_dataset(spec, seed=args.seed,
                               entities=args.entities,
@@ -93,9 +91,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     with stage("parallel.bench", executor="process") as parallel_timer:
         parallel = scan_dataset(spec, seed=args.seed,
                                 entities=args.entities,
-                                shards=args.shards, workers=workers,
+                                shards=args.shards,
+                                workers=args.workers or "auto",
                                 executor="process")
     parallel_wall = parallel_timer.elapsed
+    workers = parallel.workers
     serial_sum = aggregate_checksum(serial)
     parallel_sum = aggregate_checksum(parallel)
     speedup = serial_wall / parallel_wall if parallel_wall > 0 else 0.0

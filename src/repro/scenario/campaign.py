@@ -2,11 +2,13 @@
 
 Each seed builds an independent deterministic testbed, so a campaign is
 embarrassingly parallel: the scenario (pure data) is shipped to a
-``concurrent.futures`` worker which builds the world, runs the attack,
-and returns the :class:`repro.scenario.spec.ScenarioRun`.  Results are
-bit-identical across the serial, thread and process executors — the RNG
-streams depend only on the seed, never on scheduling — which is what
-lets the Table 6 statistics scale out without changing a single number.
+worker — through :class:`repro.parallel.scheduler.Dispatch`, the task
+dispatcher the atlas scans share — which builds the world, runs the
+attack, and returns the :class:`repro.scenario.spec.ScenarioRun`.
+Results are bit-identical across the serial, thread and process
+executors — the RNG streams depend only on the seed, never on
+scheduling — which is what lets the Table 6 statistics scale out
+without changing a single number.
 
 The aggregated :class:`CampaignResult` carries success rates, packet
 and duration percentiles, and per-method/per-label breakdowns: the raw
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
@@ -26,10 +27,9 @@ from repro.defenses.base import DefenseStack
 from repro.faults.policy import RunPolicy, execute_cell
 from repro.obs import OBS, ObsChunk
 from repro.obs.profile import stage
+from repro.parallel.scheduler import Dispatch, check_executor
 from repro.scenario.spec import AttackScenario, ScenarioRun
 from repro.workload.report import LoadReport
-
-EXECUTORS = ("process", "thread", "serial")
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -44,13 +44,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     fraction = position - low
     return ordered[low] + (ordered[high] - ordered[low]) * fraction
-
-
-def _execute_task(task: tuple[AttackScenario, Any],
-                  policy: RunPolicy | None = None) -> ScenarioRun:
-    """Worker entry point: one (scenario, seed) cell of the sweep."""
-    scenario, seed = task
-    return execute_cell(scenario, seed, policy)
 
 
 # -- shared-world workers ----------------------------------------------------
@@ -83,39 +76,46 @@ def _init_worker(payload: bytes) -> None:
         _WORKER_WORLD = world
 
 
+def _execute_batch(batch: tuple[int, tuple[Any, ...]],
+                   table: Sequence[AttackScenario],
+                   policy: RunPolicy | None = None) -> list[ScenarioRun]:
+    """One (scenario-table index, seed batch) unit, cells in seed order.
+
+    The serial loop runs this directly; the pool entry points below
+    wrap it in a ``campaign.batch`` span when the obs plane is on.
+    """
+    index, seeds = batch
+    return [execute_cell(table[index], seed, policy) for seed in seeds]
+
+
 def _execute_shared(batch: tuple[int, tuple[Any, ...]]):
-    """Worker entry point: (scenario-table index, seed batch).
+    """Process-pool entry point: a batch against the initializer's world.
 
     When the plane is on, the batch runs under a ``campaign.batch``
     span and comes back wrapped in an :class:`repro.obs.ObsChunk`
     carrying this worker's metric/span delta; the coordinator absorbs
     it in ``merge_chunk``.  Off, the raw run list travels unchanged.
     """
-    index, seeds = batch
     scenarios, policy = _WORKER_WORLD
-    scenario = scenarios[index]
     if not OBS.enabled:
-        return [execute_cell(scenario, seed, policy) for seed in seeds]
-    with OBS.span("campaign.batch", table_index=str(index),
-                  cells=len(seeds)):
-        runs = [execute_cell(scenario, seed, policy) for seed in seeds]
+        return _execute_batch(batch, scenarios, policy)
+    with OBS.span("campaign.batch", table_index=str(batch[0]),
+                  cells=len(batch[1])):
+        runs = _execute_batch(batch, scenarios, policy)
     return ObsChunk(runs=runs, payload=OBS.flush())
 
 
 def _execute_indexed(batch: tuple[int, tuple[Any, ...]],
                      table: Sequence[AttackScenario],
                      policy: RunPolicy | None = None) -> list[ScenarioRun]:
-    """Thread-executor twin of :func:`_execute_shared`: same batch
-    shape, but the table is shared by reference (no process boundary),
-    so spans/metrics land in the coordinator's registry directly."""
-    index, seeds = batch
+    """Thread-pool twin of :func:`_execute_shared`: same batch shape,
+    but the table is shared by reference (no process boundary), so
+    spans/metrics land in the coordinator's registry directly."""
     if not OBS.enabled:
-        return [execute_cell(table[index], seed, policy)
-                for seed in seeds]
-    with OBS.span("campaign.batch", table_index=str(index),
-                  cells=len(seeds)):
-        return [execute_cell(table[index], seed, policy)
-                for seed in seeds]
+        return _execute_batch(batch, table, policy)
+    with OBS.span("campaign.batch", table_index=str(batch[0]),
+                  cells=len(batch[1])):
+        return _execute_batch(batch, table, policy)
 
 
 def _batch_tasks(tasks: list[tuple[AttackScenario, Any]],
@@ -125,14 +125,17 @@ def _batch_tasks(tasks: list[tuple[AttackScenario, Any]],
 
     Consecutive tasks sharing one scenario object form a group; each
     group is split into batches sized like the old per-task chunking
-    (``len / (workers * 4)``) so the pool still load-balances.
-    Returns the distinct scenario table plus the batches: a batch names
-    its scenario by table index, so shipping the table once (via the
-    worker initializer) is enough to execute every batch.  Flattening
-    the batched results in order reproduces the serial run order
-    exactly, which keeps every executor bit-identical.
+    (``len / (workers * 4)``) so the pool still load-balances.  One
+    worker (the serial loop) gets one cell per batch, so every cell is
+    stored the moment it finishes.  Returns the distinct scenario
+    table plus the batches: a batch names its scenario by table index,
+    so shipping the table once (via the worker initializer) is enough
+    to execute every batch.  Flattening the batched results in order
+    reproduces the serial run order exactly, which keeps every
+    executor bit-identical.
     """
-    batch_size = max(1, len(tasks) // (max(workers, 1) * 4))
+    batch_size = 1 if workers == 1 \
+        else max(1, len(tasks) // (workers * 4))
     table: list[AttackScenario] = []
     batches: list[tuple[int, tuple[Any, ...]]] = []
     index = 0
@@ -472,18 +475,21 @@ class CampaignResult:
 class Campaign:
     """Run scenarios across seeds (and config grids) in parallel.
 
-    ``executor`` selects the ``concurrent.futures`` backend:
-    ``"process"`` (default; true parallelism, scenarios must pickle),
-    ``"thread"`` (shared process; useful for callable triggers), or
-    ``"serial"`` (the reference loop the parallel paths must match).
-
-    ``workers`` accepts a count, ``"auto"`` (every schedulable CPU) or
-    ``None`` (the historical capped default); the ``REPRO_WORKERS``
-    environment variable overrides the defaults — see
-    :func:`repro.parallel.workers.resolve_workers`.  The process
-    executor ships the sweep's distinct-scenario table to each worker
-    exactly once (pool initializer) and steals work batch by batch, so
-    a slow cell never idles the rest of the pool.
+    ``executor`` names the backend: ``"process"`` (default; true
+    parallelism, scenarios must pickle), ``"thread"`` (shared process;
+    useful for callable triggers), or ``"serial"`` (the reference loop
+    the parallel paths must match).  ``workers`` accepts a count,
+    ``"auto"`` (every schedulable CPU) or ``None`` (the historical
+    capped default).  Both go to :class:`repro.parallel.scheduler.
+    Dispatch`, which resolves the count, downgrades a pool that could
+    not help (one worker or one cell) to the serial loop and runs the
+    batches; the result reports the executor and worker count it
+    actually used.  The campaign keeps what is its own: store resume,
+    the unpicklable-scenario fallback to threads, and the obs sweep
+    span.  The process executor ships the sweep's distinct-scenario
+    table to each worker exactly once (pool initializer) and steals
+    work batch by batch, so a slow cell never idles the rest of the
+    pool.
 
     ``policy`` (a :class:`repro.faults.RunPolicy`) makes the sweep
     degrade gracefully: each cell gets a scheduler watchdog, transient
@@ -495,9 +501,10 @@ class Campaign:
     def __init__(self, workers: int | str | None = None,
                  executor: str = "process",
                  policy: RunPolicy | None = None):
-        if executor not in EXECUTORS:
-            raise ScenarioError(
-                f"unknown executor {executor!r}; pick one of {EXECUTORS}")
+        try:
+            check_executor(executor)
+        except ValueError as error:
+            raise ScenarioError(str(error)) from None
         self.workers = workers
         self.executor = executor
         self.policy = policy
@@ -554,25 +561,10 @@ class Campaign:
         tasks = list(pairs)
         if not tasks:
             raise ScenarioError("no scenario/seed pairs to run")
-        kind = executor if executor is not None else self.executor
-        if kind not in EXECUTORS:
-            raise ScenarioError(
-                f"unknown executor {kind!r}; pick one of {EXECUTORS}")
-        # Imported here: the parallel package's claim module reaches
-        # back through the atlas (whose calibration bridge imports this
-        # module), so a top-level import would cycle.
-        from repro.parallel.scheduler import run_stealing
-        from repro.parallel.workers import resolve_workers
+        # Imported here, like the store modules below: the store schema
+        # imports the scenario spec, so a top-level import would cycle.
         from repro.store.aggregate import RunTotals
 
-        count = workers if workers is not None else self.workers
-        try:
-            # None keeps the old min(8, cpus) default; "auto" and the
-            # REPRO_WORKERS override resolve through the shared
-            # parallel-plane resolver like every other entry point.
-            count = resolve_workers(count)
-        except ValueError as error:
-            raise ScenarioError(str(error)) from None
         if policy is None:
             policy = self.policy
         notes: list[str] = []
@@ -618,91 +610,75 @@ class Campaign:
             if requeued_failures:
                 notes.append(
                     f"store: {requeued_failures} failed cells re-queued")
-        if not missing:
-            kind = "serial"     # fully cached: nothing to execute
-        elif kind != "serial" and (count == 1 or len(missing) == 1):
-            notes.append(
-                f"{kind} executor downgraded to serial"
-                f" ({'one worker' if count == 1 else 'one task'})")
-            kind = "serial"
-        if kind == "process" and not _picklable(missing):
+        try:
+            dispatch = Dispatch.plan(
+                executor if executor is not None else self.executor,
+                workers if workers is not None else self.workers,
+                len(missing))
+        except ValueError as error:
+            raise ScenarioError(str(error)) from None
+        if dispatch.note:
+            notes.append(dispatch.note)
+        if dispatch.executor == "process" and not _picklable(missing):
             notes.append(
                 "scenario not picklable (callable trigger?);"
                 " fell back to the thread executor")
-            kind = "thread"
+            dispatch = replace(dispatch, executor="thread")
         totals = RunTotals(key="campaign")
         for run in cached.values():
             totals.note_run(run)
         sweep_span = None
         if OBS.enabled:
             sweep_span = OBS.spans.start(
-                "campaign.sweep", cells=len(tasks),
-                missing=len(missing), executor=kind, workers=count)
+                "campaign.sweep", cells=len(tasks), missing=len(missing),
+                executor=dispatch.executor, workers=dispatch.workers)
             OBS.counter("campaign.sweeps_total").inc()
             if cached:
                 OBS.counter("campaign.cached_cells_total").inc(
                     len(cached))
+        # Batches name their scenario by table index.  The process pool
+        # gets the table once per worker, inside the initializer
+        # (pickled here once, so every worker receives identical bytes
+        # instead of the world being re-serialised per batch); the
+        # serial loop and the thread pool share it by reference.
+        table, batches = _batch_tasks(missing, dispatch.workers)
+        initializer, initargs = None, ()
+        if dispatch.executor == "process":
+            world: tuple = (table, policy)
+            if OBS.enabled:
+                world = (table, policy, OBS.worker_context())
+            execute: Any = _execute_shared
+            initializer, initargs = _init_worker, (pickle.dumps(world),)
+        else:
+            execute = functools.partial(
+                _execute_indexed if dispatch.executor == "thread"
+                else _execute_batch, table=table, policy=policy)
+
+        def merge_chunk(index: int, chunk) -> None:
+            # Fires as each batch finishes (completion order on a
+            # pool): the batch is durable and folded into the streaming
+            # totals before later batches land, so a killed sweep
+            # resumes with only the missing/failed cells and the
+            # aggregate never waits on an end-of-run barrier list.
+            # Worker obs deltas are absorbed here, also exactly once.
+            runs = OBS.absorb_chunk(chunk)
+            _record_chunk(store, runs, table[batches[index][0]],
+                          spec_hashes, workload_hashes)
+            for run in runs:
+                totals.note_run(run)
+
         prev_ambient = OBS.spans.ambient_parent
         try:
-            with stage("campaign.sweep", executor=kind) as timer:
-                if kind == "serial":
-                    fresh = []
-                    for task in missing:
-                        run = _execute_task(task, policy)
-                        _record_run(store, run, task[0], spec_hashes,
-                                    workload_hashes)
-                        totals.note_run(run)
-                        fresh.append(run)
-                else:
-                    # Batches name their scenario by table index; the
-                    # table itself crosses the process boundary exactly
-                    # once, inside the worker initializer (pickled here
-                    # once so the pool ships identical bytes to every
-                    # worker instead of re-serialising the world per
-                    # worker, let alone per batch).
-                    table, batches = _batch_tasks(missing, count)
-                    if kind == "thread":
-                        pool_cls: Any = ThreadPoolExecutor
-                        pool_kwargs: dict[str, Any] = {}
-                        execute: Any = functools.partial(
-                            _execute_indexed, table=table, policy=policy)
-                        if sweep_span is not None:
-                            # Pool threads have empty span stacks; the
-                            # ambient parent nests their batch spans
-                            # under this sweep.
-                            OBS.spans.ambient_parent = sweep_span.span_id
-                    else:
-                        world: tuple = (table, policy)
-                        if OBS.enabled:
-                            world = (table, policy, OBS.worker_context())
-                        pool_cls = ProcessPoolExecutor
-                        pool_kwargs = {
-                            "initializer": _init_worker,
-                            "initargs": (pickle.dumps(world),),
-                        }
-                        execute = _execute_shared
-
-                    def merge_chunk(index: int, chunk) -> None:
-                        # Fires in *completion* order: every finished
-                        # batch is durable and folded into the streaming
-                        # totals before later batches land, so a killed
-                        # sweep resumes with only the missing/failed
-                        # cells and the aggregate never waits on an
-                        # end-of-run barrier list.  Worker obs deltas
-                        # are absorbed here, also exactly once.
-                        runs = OBS.absorb_chunk(chunk)
-                        _record_chunk(store, runs,
-                                      table[batches[index][0]],
-                                      spec_hashes, workload_hashes)
-                        for run in runs:
-                            totals.note_run(run)
-
-                    with pool_cls(max_workers=count, **pool_kwargs) as pool:
-                        ordered = run_stealing(pool, execute, batches,
-                                               window=2 * count,
-                                               on_result=merge_chunk)
-                    fresh = [run for chunk in ordered
-                             for run in OBS.chunk_runs(chunk)]
+            if dispatch.executor == "thread" and sweep_span is not None:
+                # Pool threads have empty span stacks; the ambient
+                # parent nests their batch spans under this sweep.
+                OBS.spans.ambient_parent = sweep_span.span_id
+            with stage("campaign.sweep",
+                       executor=dispatch.executor) as timer:
+                ordered = dispatch.map(execute, batches,
+                                       on_result=merge_chunk,
+                                       initializer=initializer,
+                                       initargs=initargs)
         finally:
             OBS.spans.ambient_parent = prev_ambient
             if sweep_span is not None:
@@ -711,11 +687,13 @@ class Campaign:
         # Reassemble in original task order: batching preserves the
         # missing-task order, so splicing fresh runs into the cached
         # gaps reproduces the uninterrupted sweep's run list exactly.
-        fresh_iter = iter(fresh)
+        fresh_iter = iter(run for chunk in ordered
+                          for run in OBS.chunk_runs(chunk))
         runs = [cached[index] if index in cached else next(fresh_iter)
                 for index in range(len(tasks))]
         return CampaignResult(runs=runs, wall_clock=wall_clock,
-                              workers=count, executor=kind, notes=notes,
+                              workers=dispatch.workers,
+                              executor=dispatch.executor, notes=notes,
                               totals=totals)
 
     def run_grid(self, base: AttackScenario,
@@ -781,20 +759,6 @@ class Campaign:
         ]
         return self.run(cells, seeds=seeds, workers=workers,
                         executor=executor, store=store, policy=policy)
-
-
-def _record_run(store: Any, run: ScenarioRun, scenario: AttackScenario,
-                spec_hashes: dict[int, str],
-                workload_hashes: dict[int, str]) -> None:
-    """Append one finished cell to the run store (no-op without one)."""
-    if store is None:
-        return
-    from repro.store.schema import RunRecord
-
-    marker = id(scenario)
-    store.record(RunRecord.from_run(
-        run, spec_hash=spec_hashes[marker],
-        workload_hash=workload_hashes[marker]))
 
 
 def _record_chunk(store: Any, runs: list[ScenarioRun],

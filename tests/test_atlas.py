@@ -6,7 +6,7 @@ import pytest
 from repro.atlas.aggregate import ScanAggregate, stratum_key
 from repro.atlas.calibrate import calibrate_population, profile_for_stratum
 from repro.atlas.cli import main as atlas_main
-from repro.atlas.pipeline import run_tasks, scan_dataset
+from repro.atlas.pipeline import scan_dataset
 from repro.atlas.shards import (
     dataset_kind,
     find_dataset,
@@ -176,6 +176,15 @@ class TestScanPipeline:
                               executor="process", workers=2)
         assert pooled.aggregate.to_json() == serial.aggregate.to_json()
 
+    def test_thread_matches_serial(self):
+        serial = scan_dataset(OPEN, seed=5, entities=1200, shards=4,
+                              executor="serial")
+        threaded = scan_dataset(OPEN, seed=5, entities=1200, shards=4,
+                                executor="thread", workers=2)
+        assert (threaded.executor, threaded.workers) == ("thread", 2)
+        assert (serial.executor, serial.workers) == ("serial", 1)
+        assert threaded.aggregate.to_json() == serial.aggregate.to_json()
+
     def test_domain_scan_summary_shape(self):
         report = scan_dataset(ALEXA, seed=1, entities=1500, shards=3,
                               executor="serial")
@@ -184,20 +193,9 @@ class TestScanPipeline:
             assert flag in report.summary.percentages
         assert abs(report.summary.pct("hijack") - ALEXA.expected_hijack) < 7
 
-    def test_keep_entities_refuses_store(self, tmp_path):
-        with pytest.raises(ValueError, match="keep_entities"):
-            scan_dataset(OPEN, entities=100, keep_entities=True,
-                         store=AtlasStore(tmp_path / "s"))
-
     def test_negative_entities_rejected(self):
         with pytest.raises(ValueError, match="entities"):
             scan_dataset(OPEN, entities=-5)
-
-    def test_run_tasks_validates(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_tasks(str, [1], executor="carrier-pigeon")
-        with pytest.raises(ValueError, match="workers"):
-            run_tasks(str, [1], workers=0)
 
 
 class TestStoreAndResume:
@@ -379,6 +377,24 @@ class TestExperimentIntegration:
         # Populations are real entity lists (Figure 3/5 contract).
         open_population = result.data["populations"]["open"]
         assert open_population[0].resolvers[0].address
+
+    def test_sampled_populations_are_the_scanned_entities(self):
+        # The entity lists the figures read are exactly the atlas
+        # stream the summaries were scanned from: same identifiers, in
+        # index order, one per scanned entity.
+        from repro.experiments import table3, table4
+
+        for result, datasets, ident in (
+                (table3.run(seed=3, scale=0.005), RESOLVER_DATASETS,
+                 lambda entity: entity.identifier),
+                (table4.run(seed=3, scale=0.005), DOMAIN_DATASETS,
+                 lambda entity: entity.name)):
+            for spec in datasets:
+                population = result.data["populations"][spec.key]
+                size = result.data["summaries"][spec.key].size
+                expected = iter_entities(spec, seed=3, lo=0, hi=size)
+                assert [ident(e) for e in population] == \
+                    [ident(e) for e in expected], spec.key
 
     def test_table3_full_small_cap(self):
         from repro.experiments import table3

@@ -47,6 +47,8 @@ class TestCampaignRun:
         assert result.successes == 4
         assert result.success_rate == 1.0
         assert result.executor == "serial"
+        # The serial loop is one worker, whatever the host's CPU count.
+        assert result.workers == 1
         summary = result.by_method()["HijackDNS"]
         assert summary.runs == 4
         assert summary.mean_packets == 2
@@ -80,6 +82,9 @@ class TestCampaignRun:
         result = Campaign(executor="process").run(
             AttackScenario(method="hijack"), seeds=range(2), workers=1)
         assert result.executor == "serial"
+        assert result.workers == 1
+        assert "process executor downgraded to serial (one worker)" \
+            in result.notes
 
     def test_callable_trigger_falls_back_to_thread(self):
         fired = []

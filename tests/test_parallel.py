@@ -34,7 +34,7 @@ from repro.parallel.claim import (
 )
 from repro.parallel.kernel import KERNELS, scan_range
 from repro.parallel.mt import LockstepMT
-from repro.parallel.scheduler import run_stealing
+from repro.parallel.scheduler import EXECUTORS, Dispatch, run_stealing
 from repro.parallel.workers import (
     DEFAULT_CAP,
     cpu_count,
@@ -225,7 +225,7 @@ class TestWorkStealing:
         # A full scan_dataset through a pool that finishes shards in
         # reverse order: the report aggregate AND the persisted store
         # records must match the serial run bit for bit.
-        import repro.atlas.pipeline as pipeline
+        import repro.parallel.scheduler as scheduler
 
         spec = find_dataset("open")
         serial = scan_dataset(spec, seed=0, entities=900, shards=6,
@@ -241,7 +241,7 @@ class TestWorkStealing:
             def __exit__(self, *exc):
                 return False
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor",
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor",
                             AdversarialProcessPool)
         store = AtlasStore(tmp_path / "scrambled")
         scrambled = scan_dataset(spec, seed=0, entities=900, shards=6,
@@ -257,11 +257,11 @@ class TestWorkStealing:
             assert checksum(stored) == checksum(reference)
 
     def test_campaign_stats_survive_scrambling(self, monkeypatch):
-        # The campaign's shared-world process path through the same
-        # shim: the initializer materialises the scenario table
-        # in-process and batches complete in reverse, yet runs, stats
-        # and streaming totals match the serial reference.
-        import repro.scenario.campaign as campaign_module
+        # The campaign's process path (shared-world initializer) and
+        # its thread path through the same shim: batches complete in
+        # reverse, yet runs, stats and streaming totals match the
+        # serial reference.
+        import repro.parallel.scheduler as scheduler
         from repro.scenario import Campaign, sweep_scenarios
 
         scenarios = sweep_scenarios()
@@ -280,24 +280,75 @@ class TestWorkStealing:
             def __exit__(self, *exc):
                 return False
 
-        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor",
-                            AdversarialCampaignPool)
-        scrambled = Campaign(executor="process").run(
-            scenarios, seeds=range(4), workers=4)
         flatten = lambda result: [
             (run.label, run.seed, run.success, run.packets_sent,
              run.queries_triggered, run.duration) for run in result.runs]
-        assert flatten(scrambled) == flatten(serial)
         serial_totals = serial.totals.to_json()
-        scrambled_totals = scrambled.totals.to_json()
         # wall_time is measured, not derived, and the float duration
         # sum folds in completion order (associative only up to float
         # rounding); every counter must come out exactly identical.
-        for totals in (serial_totals, scrambled_totals):
-            totals.pop("wall_time")
-        assert scrambled_totals.pop("duration") == \
-            pytest.approx(serial_totals.pop("duration"))
-        assert scrambled_totals == serial_totals
+        serial_totals.pop("wall_time")
+        serial_duration = serial_totals.pop("duration")
+        for executor, pool_name in (("process", "ProcessPoolExecutor"),
+                                    ("thread", "ThreadPoolExecutor")):
+            monkeypatch.setattr(scheduler, pool_name,
+                                AdversarialCampaignPool)
+            scrambled = Campaign(executor=executor).run(
+                scenarios, seeds=range(4), workers=4)
+            assert scrambled.executor == executor
+            assert flatten(scrambled) == flatten(serial)
+            scrambled_totals = scrambled.totals.to_json()
+            scrambled_totals.pop("wall_time")
+            assert scrambled_totals.pop("duration") == \
+                pytest.approx(serial_duration)
+            assert scrambled_totals == serial_totals
+
+
+class TestDispatch:
+    def test_dispatch_validates(self):
+        with pytest.raises(ValueError, match="executor"):
+            Dispatch.plan("carrier-pigeon", None, 1)
+        with pytest.raises(ValueError, match="workers"):
+            Dispatch.plan("process", 0, 1)
+
+    def test_plan_downgrades_when_a_pool_cannot_help(self):
+        assert Dispatch.plan("process", 4, 8) == Dispatch("process", 4)
+        # The pool never outnumbers its tasks.
+        assert Dispatch.plan("thread", 8, 3) == Dispatch("thread", 3)
+        assert Dispatch.plan("process", 1, 8) == Dispatch(
+            "serial", 1, "process executor downgraded to serial "
+            "(one worker)")
+        assert Dispatch.plan("thread", 4, 1) == Dispatch(
+            "serial", 1, "thread executor downgraded to serial "
+            "(one task)")
+        # Nothing to run, or serial asked for: serial, nothing to note.
+        assert Dispatch.plan("process", 4, 0) == Dispatch("serial", 1)
+        assert Dispatch.plan("serial", 4, 8) == Dispatch("serial", 1)
+        assert set(EXECUTORS) == {"process", "thread", "serial"}
+
+    def test_serial_map_runs_inline_in_task_order(self, monkeypatch):
+        import repro.parallel.scheduler as scheduler
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("the serial loop must not build a pool")
+
+        for pool_name in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+            monkeypatch.setattr(scheduler, pool_name, no_pool)
+        monkeypatch.setattr(scheduler, "run_stealing", no_pool)
+        seen: list[tuple[int, int]] = []
+        results = Dispatch("serial", 1).map(
+            lambda task: task * 10, [3, 1, 2],
+            on_result=lambda index, result: seen.append((index, result)))
+        assert results == [30, 10, 20]
+        assert seen == [(0, 30), (1, 10), (2, 20)]
+
+    def test_pool_map_runs_initializer_per_worker(self):
+        initialized: list[str] = []
+        results = Dispatch("thread", 2).map(
+            lambda task: -task, list(range(6)),
+            initializer=initialized.append, initargs=("ready",))
+        assert results == [0, -1, -2, -3, -4, -5]
+        assert 1 <= len(initialized) <= 2
 
 
 # -- claim mode ---------------------------------------------------------------
@@ -354,6 +405,33 @@ class TestClaimMode:
         serial = scan_dataset(spec, seed=0, entities=800, shards=4,
                               executor="serial")
         assert checksum(merged.aggregate) == checksum(serial.aggregate)
+
+    def test_waiting_on_live_leases_reads_the_store_once_per_pass(
+            self, tmp_path, monkeypatch):
+        # Every shard is leased by a live holder, so the worker idles
+        # pass after pass until the short ttl lets it break the leases.
+        # Each pass may read the store once, not once per shard range.
+        spec = find_dataset("open")
+        store = AtlasStore(tmp_path / "claims")
+        spec_hash = population_spec_hash(spec, 0, 400)
+        for shard_id in range(4):
+            assert claim_shard(store, spec_hash, shard_id, worker="holder")
+        loads = [0]
+        load = store.load
+
+        def counting_load(*args, **kwargs):
+            loads[0] += 1
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(store, "load", counting_load)
+        outcome = claim_worker(spec, seed=0, entities=400, shards=4,
+                               store=store, worker="waiter", ttl=0.4)
+        assert sorted(outcome.scanned) == [0, 1, 2, 3]
+        idle_passes = len(outcome.skipped) // 4
+        assert idle_passes >= 1
+        # One read per idle pass, one after the claiming pass, and the
+        # read before the first pass.
+        assert loads[0] == idle_passes + 2
 
     def test_claim_requires_store(self):
         with pytest.raises(ValueError):
