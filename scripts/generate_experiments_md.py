@@ -53,14 +53,15 @@ Every table and figure of *From IP to Transport and Beyond: Cross-Layer
 Attacks Against Applications* (SIGCOMM 2021), regenerated by this
 reproduction on its simulated Internet.  Regenerate this file with
 `python scripts/generate_experiments_md.py` (or one section with
-`--only <experiment>`); each bench in
-`benchmarks/` reruns one experiment and asserts the shape conditions
-noted below.
+`--only <experiment>`).  The tier-1 module `tests/test_paper_claims.py`
+reruns the Section 5 survey (Tables 3-4, Figures 3-5, §4.3, §5) over
+five seeds and asserts the paper's claims noted below; the remaining
+`benchmarks/bench_*.py` do the same for the other experiments.
 
 Absolute numbers are population statistics over *synthetic* calibrated
 populations (see DESIGN.md §5) — matches are expected within sampling
 error; the load-bearing claims are the orderings, factors and
-crossovers, which are asserted by the benches.
+crossovers, which those checks assert.
 
 """
 

@@ -77,9 +77,10 @@ class ScanAggregate:
                           single_use: bool = False) -> None:
         """Scan one front-end system and fold in the verdicts.
 
-        The probe loop is :func:`scan_front_end` fused in (same
-        short-circuits, same RNG consumption) so the per-entity path
-        builds no intermediate result object.  ``single_use=True``
+        Any vulnerable resolver marks the front end.  Each probe runs
+        only until its flag first turns true, so a resolver's ICMP RNG
+        is consumed exactly as far as the vector kernel replays it.
+        ``single_use=True``
         switches the SadDNS probe to the pruned
         :func:`scan_saddns_verdict` — identical verdicts, but the
         entity's ICMP RNG may be left mid-stream, so it is only valid
@@ -112,7 +113,11 @@ class ScanAggregate:
 
     def observe_domain(self, domain: DomainProfile,
                        single_use: bool = False) -> None:
-        """Scan one domain and fold in the verdicts (fused scan loop).
+        """Scan one domain and fold in the verdicts.
+
+        Any vulnerable nameserver marks the domain; the fragmentation
+        probe runs on every nameserver, since ``frag_global`` needs the
+        per-server verdict.
 
         ``single_use`` is accepted for symmetry with
         :meth:`observe_front_end`; domain scanning consumes no RNG, so
@@ -186,7 +191,7 @@ class ScanAggregate:
         return RESOLVER_FLAGS if self.kind == "resolver" else DOMAIN_FLAGS
 
     def to_summary(self, dataset: str, full_size: int) -> SurveySummary:
-        """The same shape the monolithic scanners summarise into."""
+        """Per-flag percentages over the scanned entities."""
         return SurveySummary(
             dataset=dataset, size=self.count, full_size=full_size,
             percentages={flag: self.pct(flag)

@@ -34,7 +34,11 @@ from repro.atlas.shards import (
     shard_ranges,
 )
 from repro.atlas.store import AtlasStore, ShardRecord
-from repro.measurements.population import DOMAIN_DATASETS, RESOLVER_DATASETS
+from repro.measurements.population import (
+    DOMAIN_DATASETS,
+    RESOLVER_DATASETS,
+    sample_size,
+)
 from repro.measurements.scanner import SurveySummary
 
 def _scan_shard(task: tuple[DatasetSpec, Any, ShardRange, str, str]
@@ -264,6 +268,18 @@ def scan_many(specs: Iterable[DatasetSpec], seed: int | str = 0,
                      workers=workers, executor=executor, store=store)
         for spec in specs
     ]
+
+
+def scan_sample(spec: DatasetSpec, seed: int | str,
+                scale: float) -> AtlasScanReport:
+    """Serial one-shard scan of a ``scale`` sample of one dataset.
+
+    The sampled survey every Section 5 experiment reads: the entities
+    are ``iter_entities(spec, seed, 0, report.entities)``.
+    """
+    return scan_dataset(spec, seed=seed,
+                        entities=sample_size(spec.full_size, scale),
+                        shards=1, executor="serial")
 
 
 def all_dataset_specs() -> list[DatasetSpec]:

@@ -1,11 +1,8 @@
 """Sharded population synthesis: constant-memory entity streams.
 
-The monolithic :class:`repro.measurements.population.PopulationGenerator`
-threads one RNG stream through a whole dataset, so entity *N* cannot be
-produced without first producing entities *0..N-1*.  The atlas breaks
-that dependency: every entity derives its own RNG stream from
-``(seed, kind, dataset, index)`` and its addresses from ``index`` alone,
-then runs the *same* per-entity draw kernel
+Every entity derives its own RNG stream from ``(seed, kind, dataset,
+index)`` and its addresses from ``index`` alone, then runs the
+per-entity draw kernel
 (:func:`repro.measurements.population.draw_resolver_profile` /
 :func:`draw_domain_profile`).  Consequences:
 
@@ -32,13 +29,13 @@ from repro.measurements.population import (
     ResolverDatasetSpec,
     domain_rates,
     draw_domain_profile,
+    draw_record_type_domain,
     draw_resolver_profile,
     resolver_prefix_mix,
     resolver_rates,
 )
-# Same 11.0.0.0-based stride walk the monolithic generator uses, but
-# computed from the entity index so any shard can address its entities
-# without a shared counter.
+# An 11.0.0.0-based stride walk computed from the entity index, so any
+# shard can address its entities without a shared counter.
 _ADDRESS_BASE = 0x0B000000
 _ADDRESS_STRIDE = 7
 
@@ -152,6 +149,21 @@ def iter_domains(spec: DomainDatasetSpec, seed: int | str = 0,
         yield draw_domain_profile(rng, spec,
                                   key_prefix + str(index) + ".example",
                                   addresses, rates=rates)
+
+
+def iter_record_type_domains(seed: int | str, lo: int,
+                             hi: int) -> Iterator[DomainProfile]:
+    """Stream domains ``lo..hi`` of the §5.2.2 record-type population.
+
+    One nameserver per domain, drawn by
+    :func:`repro.measurements.population.draw_record_type_domain`;
+    seeded and addressed per index like :func:`iter_domains`.
+    """
+    derive = _dataset_rng(seed, "domain", "alexa-ns").derive
+    for index in range(lo, hi):
+        yield draw_record_type_domain(derive(str(index)),
+                                      f"alexa-{index}.example",
+                                      atlas_address(index))
 
 
 def iter_entities(spec, seed: int | str = 0, lo: int = 0,

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
+from repro.atlas.pipeline import scan_sample
+from repro.atlas.shards import find_dataset
 from repro.experiments.base import ExperimentResult
-from repro.measurements.population import (
-    DOMAIN_DATASETS,
-    PopulationGenerator,
-    RESOLVER_DATASETS,
-)
-from repro.measurements.report import histogram, render_table
-from repro.measurements.scanner import harvest_prefix_lengths
+from repro.measurements.report import render_table
 
 POPULATIONS = [
     ("Resolvers: Open resolver", "open"),
@@ -20,18 +16,10 @@ POPULATIONS = [
 
 def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     """Histogram announced prefix lengths for the three populations."""
-    generator = PopulationGenerator(seed=seed, scale=scale)
-    spec_by_key = {spec.key: spec for spec in RESOLVER_DATASETS}
-    domain_spec = next(spec for spec in DOMAIN_DATASETS
-                       if spec.key == "alexa")
     series: dict[str, dict[int, float]] = {}
     for label, key in POPULATIONS:
-        if key == "alexa":
-            population = generator.domain_population(domain_spec)
-        else:
-            population = generator.resolver_population(spec_by_key[key])
-        lengths = harvest_prefix_lengths(population)
-        series[label] = histogram(lengths)
+        aggregate = scan_sample(find_dataset(key), seed, scale).aggregate
+        series[label] = aggregate.histogram_fractions("prefix_length")
     headers = ["Prefix length"] + [label for label, _key in POPULATIONS]
     rows = []
     for length in range(11, 25):

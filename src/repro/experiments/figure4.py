@@ -2,42 +2,43 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
+from repro.atlas.pipeline import scan_sample
+from repro.atlas.shards import find_dataset
 from repro.experiments.base import ExperimentResult
-from repro.measurements.population import (
-    PopulationGenerator,
-    RESOLVER_DATASETS,
-)
 from repro.measurements.report import cdf_series, render_table
-from repro.measurements.scanner import (
-    harvest_edns_sizes,
-    harvest_min_fragment_sizes,
-)
 
 CDF_POINTS = [68, 292, 548, 1500, 2048, 3072, 4096]
 
 
+def _sizes(key: str, histogram: str, seed: int, scale: float) -> list[int]:
+    aggregate = scan_sample(find_dataset(key), seed, scale).aggregate
+    return list(aggregate.histograms.get(histogram, Counter()).elements())
+
+
+def _cell(cdf: list[tuple[float, float]], index: int) -> str:
+    # A tiny sample may hold no fragmenting nameserver at all.
+    return f"{cdf[index][1] * 100:.1f}%" if cdf else "n/a"
+
+
 def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
-    """Compute both CDFs of the paper's Figure 4."""
-    generator = PopulationGenerator(seed=seed, scale=scale)
-    open_spec = next(spec for spec in RESOLVER_DATASETS
-                     if spec.key == "open")
-    front_ends = generator.resolver_population(open_spec)
-    edns_sizes = harvest_edns_sizes(front_ends)
-    alexa_ns = generator.alexa_nameserver_population(
-        count=max(500, int(4000 * scale * 25))
-    )
-    frag_sizes = harvest_min_fragment_sizes(alexa_ns)
+    """Compute both CDFs of the paper's Figure 4.
+
+    EDNS sizes are those the reachable sampled open resolvers
+    advertise; minimum fragment sizes those of the PMTUD-honouring
+    nameservers of the sampled Alexa domains (Table 4's population).
+    """
+    edns_sizes = _sizes("open", "edns_size", seed, scale)
+    frag_sizes = _sizes("alexa", "min_frag_size", seed, scale)
     edns_cdf = cdf_series(edns_sizes, CDF_POINTS)
     frag_cdf = cdf_series(frag_sizes, CDF_POINTS)
     headers = ["size (bytes)", "EDNS size of resolvers (CDF)",
                "min fragment size of nameservers (CDF)"]
     rows = []
     for index, point in enumerate(CDF_POINTS):
-        rows.append([
-            str(point),
-            f"{edns_cdf[index][1] * 100:.1f}%",
-            f"{frag_cdf[index][1] * 100:.1f}%",
-        ])
+        rows.append([str(point), _cell(edns_cdf, index),
+                     _cell(frag_cdf, index)])
     result = ExperimentResult(
         experiment_id="figure4",
         title="Figure 4: CDF of resolver EDNS UDP size vs minimum "

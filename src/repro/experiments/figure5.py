@@ -1,17 +1,20 @@
 """Figure 5: Venn diagrams of vulnerable resolvers and domains.
 
 The union of all Table 3 (resolver) and Table 4 (domain) populations is
-intersected across the three methodologies' measured flags; sampled
-counts are extrapolated to the paper's full population sizes so the
-reported magnitudes are directly comparable with Figure 5.
+intersected across the three methodologies' measured flags — the
+vulnerability strata their scans already fold — and sampled counts are
+extrapolated to the paper's full population sizes so the reported
+magnitudes are directly comparable with Figure 5.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
+from repro.atlas.aggregate import stratum_key
 from repro.experiments import table3, table4
 from repro.experiments.base import ExperimentResult
-from repro.measurements.report import VennCounts, scale_count, venn_from_flags
-from repro.measurements.scanner import scan_domain, scan_front_end
+from repro.measurements.report import VennCounts, scale_count
 
 PAPER_RESOLVER_VENN = {
     "only_hijack": 45_117, "only_saddns": 1_787, "only_frag": 3_525,
@@ -38,43 +41,36 @@ def _scaled_venn(venn: VennCounts, sampled: int, full: int) -> VennCounts:
     )
 
 
+def _survey_venn(reports) -> tuple[VennCounts, int, int]:
+    """Sampled Venn regions over a survey's scan reports.
+
+    Each region is one vulnerability stratum of the merged
+    :class:`repro.atlas.aggregate.ScanAggregate` strata (domains fold
+    frag_any/frag_global into the FragDNS axis).  Returns the regions
+    with the sampled and full population sizes they scale between.
+    """
+    strata: Counter = Counter()
+    for report in reports.values():
+        strata.update(report.aggregate.strata)
+    venn = VennCounts(
+        only_a=strata[stratum_key(True, False, False)],
+        only_b=strata[stratum_key(False, True, False)],
+        only_c=strata[stratum_key(False, False, True)],
+        ab=strata[stratum_key(True, True, False)],
+        ac=strata[stratum_key(True, False, True)],
+        bc=strata[stratum_key(False, True, True)],
+        abc=strata[stratum_key(True, True, True)],
+    )
+    return (venn, sum(r.entities for r in reports.values()),
+            sum(r.full_size for r in reports.values()))
+
+
 def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     """Compute both Venn diagrams from the survey populations."""
-    survey3 = table3.run(seed=seed, scale=scale)
-    survey4 = table4.run(seed=seed, scale=scale)
-    resolver_flags = []
-    sampled_resolvers = 0
-    full_resolvers = 0
-    for key, population in survey3.data["populations"].items():
-        spec_full = next(
-            s.full_size for s in __import__(
-                "repro.measurements.population", fromlist=["RESOLVER_DATASETS"]
-            ).RESOLVER_DATASETS if s.key == key
-        )
-        sampled_resolvers += len(population)
-        full_resolvers += spec_full
-        for front_end in population:
-            scan = scan_front_end(front_end)
-            if scan.hijack or scan.saddns or scan.frag:
-                resolver_flags.append((scan.hijack, scan.saddns, scan.frag))
-    domain_flags = []
-    sampled_domains = 0
-    full_domains = 0
-    for key, population in survey4.data["populations"].items():
-        spec_full = next(
-            s.full_size for s in __import__(
-                "repro.measurements.population", fromlist=["DOMAIN_DATASETS"]
-            ).DOMAIN_DATASETS if s.key == key
-        )
-        sampled_domains += len(population)
-        full_domains += spec_full
-        for domain in population:
-            scan = scan_domain(domain)
-            frag = scan.frag_any or scan.frag_global
-            if scan.hijack or scan.saddns or frag:
-                domain_flags.append((scan.hijack, scan.saddns, frag))
-    resolver_venn = venn_from_flags(resolver_flags)
-    domain_venn = venn_from_flags(domain_flags)
+    resolver_venn, sampled_resolvers, full_resolvers = _survey_venn(
+        table3.run(seed=seed, scale=scale).data["reports"])
+    domain_venn, sampled_domains, full_domains = _survey_venn(
+        table4.run(seed=seed, scale=scale).data["reports"])
     resolver_scaled = _scaled_venn(resolver_venn, sampled_resolvers,
                                    full_resolvers)
     domain_scaled = _scaled_venn(domain_venn, sampled_domains, full_domains)

@@ -3,10 +3,10 @@ nameserver concentration."""
 
 from __future__ import annotations
 
+from repro.atlas.synth import iter_record_type_domains
 from repro.core.rng import DeterministicRNG
 from repro.experiments.base import ExperimentResult
 from repro.measurements.misc import measure_record_type_rates
-from repro.measurements.population import PopulationGenerator
 from repro.measurements.report import render_table
 from repro.measurements.simulate_hijack import (
     nameserver_concentration,
@@ -14,14 +14,20 @@ from repro.measurements.simulate_hijack import (
     simulate_subprefix_hijacks,
 )
 
+#: Alexa domains in the §5.2.2 record-type study.
+RECORD_TYPE_DOMAINS = 4000
+
 
 def run(seed: int = 0, trials: int = 120, scale: float = 0.01
         ) -> ExperimentResult:
-    """Same-prefix hijack success, record-type fragmentation, hosting."""
+    """Same-prefix hijack success, record-type fragmentation, hosting.
+
+    The record-type study always draws :data:`RECORD_TYPE_DOMAINS`
+    domains; ``scale`` is accepted for a uniform survey signature.
+    """
     same = simulate_sameprefix_hijacks(trials=trials, seed=seed)
     sub = simulate_subprefix_hijacks(trials=max(30, trials // 3), seed=seed)
-    generator = PopulationGenerator(seed=seed, scale=scale)
-    alexa_ns = generator.alexa_nameserver_population(count=4000)
+    alexa_ns = list(iter_record_type_domains(seed, 0, RECORD_TYPE_DOMAINS))
     rates = measure_record_type_rates(alexa_ns)
     # Hosting concentration: assign nameservers to ASes with a heavy
     # tail, then compute the top-20% share.

@@ -2,8 +2,8 @@
 
 Both paths run on the :mod:`repro.atlas` shard pipeline:
 
-* :func:`run` — the sampled survey (``scale`` of each population,
-  entities kept in memory for the figures that need per-entity access);
+* :func:`run` — the sampled survey (``scale`` of each population; the
+  reports' aggregates also carry the Figure 5 strata);
 * :func:`run_full` — the population-scale scan at the paper's full
   dataset sizes (1.58M open resolvers), streaming in constant memory,
   optionally sharded across process workers and resumable via an
@@ -12,13 +12,9 @@ Both paths run on the :mod:`repro.atlas` shard pipeline:
 
 from __future__ import annotations
 
-from repro.atlas.pipeline import AtlasScanReport, scan_dataset
-from repro.atlas.synth import iter_entities
+from repro.atlas.pipeline import AtlasScanReport, scan_dataset, scan_sample
 from repro.experiments.base import ExperimentResult
-from repro.measurements.population import (
-    RESOLVER_DATASETS,
-    sample_size,
-)
+from repro.measurements.population import RESOLVER_DATASETS
 from repro.measurements.report import render_table
 
 HEADERS = ["Dataset", "Protocol", "BGP hijack sub-prefix %",
@@ -47,7 +43,10 @@ def _row(spec, summary) -> list[str]:
     ]
 
 
-def _result(rows, summaries, extra_data, notes) -> ExperimentResult:
+def _result(reports: dict[str, AtlasScanReport],
+            notes: list[str]) -> ExperimentResult:
+    summaries = {key: report.summary for key, report in reports.items()}
+    rows = [_row(spec, summaries[spec.key]) for spec in RESOLVER_DATASETS]
     result = ExperimentResult(
         experiment_id="table3",
         title="Table 3: vulnerable resolvers",
@@ -58,7 +57,7 @@ def _result(rows, summaries, extra_data, notes) -> ExperimentResult:
                        spec.expected_frag)
             for spec in RESOLVER_DATASETS
         },
-        data={"summaries": summaries, **extra_data},
+        data={"summaries": summaries, "reports": reports},
     )
     result.rendered = render_table(HEADERS, rows, title=result.title)
     result.notes.extend(notes)
@@ -67,25 +66,11 @@ def _result(rows, summaries, extra_data, notes) -> ExperimentResult:
 
 def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     """Scan a ``scale`` sample of all nine resolver datasets."""
-    rows = []
-    summaries = {}
-    populations = {}
-    for spec in RESOLVER_DATASETS:
-        size = sample_size(spec.full_size, scale)
-        report = scan_dataset(spec, seed=seed, entities=size, shards=1,
-                              executor="serial")
-        summaries[spec.key] = report.summary
-        populations[spec.key] = list(
-            iter_entities(spec, seed=seed, lo=0, hi=size))
-        rows.append(_row(spec, report.summary))
-    return _result(
-        rows, summaries,
-        {"populations": populations,
-         "sampled_sizes": {key: summary.size
-                           for key, summary in summaries.items()}},
-        [f"populations sampled at scale={scale} via the repro.atlas "
-         "pipeline; dataset sizes shown are the paper's full populations"],
-    )
+    reports = {spec.key: scan_sample(spec, seed, scale)
+               for spec in RESOLVER_DATASETS}
+    return _result(reports, [
+        f"populations sampled at scale={scale} via the repro.atlas "
+        "pipeline; dataset sizes shown are the paper's full populations"])
 
 
 def run_full(seed: int = 0, entities: int | None = None, shards: int = 16,
@@ -97,18 +82,12 @@ def run_full(seed: int = 0, entities: int | None = None, shards: int = 16,
     percentages in the rendered table are computed over the *entire*
     population, not extrapolated from a sample.
     """
-    rows = []
-    summaries = {}
-    reports: dict[str, AtlasScanReport] = {}
-    total_wall = 0.0
-    for spec in RESOLVER_DATASETS:
-        report = scan_dataset(spec, seed=seed, entities=entities,
-                              shards=shards, workers=workers,
-                              executor=executor, store=store)
-        reports[spec.key] = report
-        summaries[spec.key] = report.summary
-        rows.append(_row(spec, report.summary))
-        total_wall += report.wall_clock
-    return _result(rows, summaries, {"reports": reports},
-                   [_full_scan_note(reports, total_wall, shards,
-                                    "entities")])
+    reports = {
+        spec.key: scan_dataset(spec, seed=seed, entities=entities,
+                               shards=shards, workers=workers,
+                               executor=executor, store=store)
+        for spec in RESOLVER_DATASETS
+    }
+    total_wall = sum(report.wall_clock for report in reports.values())
+    return _result(reports, [_full_scan_note(reports, total_wall, shards,
+                                             "entities")])

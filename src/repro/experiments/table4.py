@@ -7,13 +7,10 @@ split.
 
 from __future__ import annotations
 
-from repro.atlas.pipeline import AtlasScanReport, scan_dataset
-from repro.atlas.synth import iter_entities
+from repro.atlas.pipeline import AtlasScanReport, scan_dataset, scan_sample
 from repro.experiments.base import ExperimentResult
-from repro.measurements.population import (
-    DOMAIN_DATASETS,
-    sample_size,
-)
+from repro.experiments.table3 import _full_scan_note
+from repro.measurements.population import DOMAIN_DATASETS
 from repro.measurements.report import render_table
 
 HEADERS = ["Dataset", "Protocol", "BGP hijack sub-prefix %",
@@ -39,7 +36,10 @@ def _row(spec, summary) -> list[str]:
     ]
 
 
-def _result(rows, summaries, extra_data, notes) -> ExperimentResult:
+def _result(reports: dict[str, AtlasScanReport],
+            notes: list[str]) -> ExperimentResult:
+    summaries = {key: report.summary for key, report in reports.items()}
+    rows = [_row(spec, summaries[spec.key]) for spec in DOMAIN_DATASETS]
     result = ExperimentResult(
         experiment_id="table4",
         title="Table 4: vulnerable domains",
@@ -51,7 +51,7 @@ def _result(rows, summaries, extra_data, notes) -> ExperimentResult:
                        spec.expected_dnssec)
             for spec in DOMAIN_DATASETS
         },
-        data={"summaries": summaries, **extra_data},
+        data={"summaries": summaries, "reports": reports},
     )
     result.rendered = render_table(HEADERS, rows, title=result.title)
     result.notes.extend(notes)
@@ -60,41 +60,22 @@ def _result(rows, summaries, extra_data, notes) -> ExperimentResult:
 
 def run(seed: int = 0, scale: float = 0.01) -> ExperimentResult:
     """Scan a ``scale`` sample of all ten domain datasets."""
-    rows = []
-    summaries = {}
-    populations = {}
-    for spec in DOMAIN_DATASETS:
-        size = sample_size(spec.full_size, scale)
-        report = scan_dataset(spec, seed=seed, entities=size, shards=1,
-                              executor="serial")
-        summaries[spec.key] = report.summary
-        populations[spec.key] = list(
-            iter_entities(spec, seed=seed, lo=0, hi=size))
-        rows.append(_row(spec, report.summary))
-    return _result(rows, summaries, {"populations": populations},
-                   [SEMANTICS_NOTE])
+    reports = {spec.key: scan_sample(spec, seed, scale)
+               for spec in DOMAIN_DATASETS}
+    return _result(reports, [SEMANTICS_NOTE])
 
 
 def run_full(seed: int = 0, entities: int | None = None, shards: int = 16,
              workers: int | None = None, executor: str = "process",
              store=None) -> ExperimentResult:
     """Scan every domain dataset at the paper's full size (1M+ domains)."""
-    rows = []
-    summaries = {}
-    reports: dict[str, AtlasScanReport] = {}
-    total_wall = 0.0
-    for spec in DOMAIN_DATASETS:
-        report = scan_dataset(spec, seed=seed, entities=entities,
-                              shards=shards, workers=workers,
-                              executor=executor, store=store)
-        reports[spec.key] = report
-        summaries[spec.key] = report.summary
-        rows.append(_row(spec, report.summary))
-        total_wall += report.wall_clock
-    from repro.experiments.table3 import _full_scan_note
-
-    return _result(
-        rows, summaries, {"reports": reports},
-        [SEMANTICS_NOTE,
-         _full_scan_note(reports, total_wall, shards, "domains")],
-    )
+    reports = {
+        spec.key: scan_dataset(spec, seed=seed, entities=entities,
+                               shards=shards, workers=workers,
+                               executor=executor, store=store)
+        for spec in DOMAIN_DATASETS
+    }
+    total_wall = sum(report.wall_clock for report in reports.values())
+    return _result(reports, [
+        SEMANTICS_NOTE,
+        _full_scan_note(reports, total_wall, shards, "domains")])

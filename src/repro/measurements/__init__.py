@@ -23,7 +23,6 @@ from repro.measurements.population import (
     FrontEnd,
     IcmpBehaviour,
     NameserverProfile,
-    PopulationGenerator,
     RESOLVER_DATASETS,
     ResolverDatasetSpec,
     ResolverProfile,
@@ -31,23 +30,10 @@ from repro.measurements.population import (
 from repro.measurements.report import (
     VennCounts,
     cdf_series,
-    render_cdf,
     render_table,
     scale_count,
-    venn_from_flags,
 )
-from repro.measurements.scanner import (
-    DomainScanResult,
-    ResolverScanResult,
-    SurveySummary,
-    harvest_edns_sizes,
-    harvest_min_fragment_sizes,
-    harvest_prefix_lengths,
-    scan_domain,
-    scan_front_end,
-    summarise_domain_scan,
-    summarise_resolver_scan,
-)
+from repro.measurements.scanner import SurveySummary
 from repro.measurements.simulate_hijack import (
     HijackSimulationResult,
     nameserver_concentration,
@@ -59,18 +45,15 @@ __all__ = [
     "DOMAIN_DATASETS",
     "DomainDatasetSpec",
     "DomainProfile",
-    "DomainScanResult",
     "FrontEnd",
     "HijackSimulationResult",
     "IcmpBehaviour",
     "MethodStats",
     "NameserverProfile",
-    "PopulationGenerator",
     "RESOLVER_DATASETS",
     "RecordTypeFragRates",
     "ResolverDatasetSpec",
     "ResolverProfile",
-    "ResolverScanResult",
     "SurveySummary",
     "Table6Data",
     "VennCounts",
@@ -78,24 +61,15 @@ __all__ = [
     "assign_forwarders",
     "cdf_series",
     "collect_table6",
-    "harvest_edns_sizes",
-    "harvest_min_fragment_sizes",
-    "harvest_prefix_lengths",
     "measure_forwarder_coverage",
     "measure_record_type_rates",
     "nameserver_concentration",
     "probe_shared_caches",
-    "render_cdf",
     "render_table",
     "run_fragdns_trials",
     "run_hijackdns_trials",
     "run_saddns_trials",
     "scale_count",
-    "scan_domain",
-    "scan_front_end",
     "simulate_sameprefix_hijacks",
     "simulate_subprefix_hijacks",
-    "summarise_domain_scan",
-    "summarise_resolver_scan",
-    "venn_from_flags",
 ]

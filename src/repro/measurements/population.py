@@ -9,10 +9,11 @@ paper's per-dataset numbers (Tables 3 and 4), and the scanners in
 same probe logic the paper used — without ever reading the ground truth
 directly.
 
-Scaling: the real datasets reach 1.58M resolvers.  ``scale`` samples the
-population while ``full_size`` is preserved for reporting, so benches
-print the paper's dataset sizes next to measured percentages from the
-sampled population.
+This module holds the calibrations and the per-entity draw kernels;
+:mod:`repro.atlas.synth` streams entities from them, each seeded by its
+own index.  ``scale`` samples a population (:func:`sample_size`) while
+``full_size`` is preserved for reporting, so experiments print the
+paper's dataset sizes next to measured percentages from the sample.
 """
 
 from __future__ import annotations
@@ -377,27 +378,20 @@ def resolver_rates(spec: ResolverDatasetSpec) -> ResolverRates:
 
 def draw_resolver_profile(rng: DeterministicRNG, spec: ResolverDatasetSpec,
                           address: str,
-                          prefix_mix: dict[int, float] | None = None,
-                          icmp_rng: DeterministicRNG | None = None,
-                          rates: ResolverRates | None = None
-                          ) -> ResolverProfile:
+                          prefix_mix: dict[int, float] | MixSampler,
+                          icmp_rng: DeterministicRNG,
+                          rates: ResolverRates) -> ResolverProfile:
     """Draw one calibrated resolver.
 
-    This is the per-entity kernel shared by the monolithic
-    :class:`PopulationGenerator` (one sequential stream per dataset) and
-    the :mod:`repro.atlas` shard producers (one derived stream per
-    entity): both paths consume randomness in exactly this order, so the
-    distributions are identical by construction.
+    The per-entity kernel behind :func:`repro.atlas.synth.iter_front_ends`;
+    the vector scan kernel (:mod:`repro.parallel.kernel`) consumes
+    randomness in exactly this order.
     """
-    if prefix_mix is None:
-        prefix_mix = resolver_prefix_mix(spec)
-    if rates is None:
-        rates = resolver_rates(spec)
     reachable = not rng.chance(spec.rate_unreachable)
     icmp = IcmpBehaviour(
         rate_limited=True,
         randomized=not rng.chance(rates.conditional_saddns),
-        rng=icmp_rng if icmp_rng is not None else rng.derive("icmp"),
+        rng=icmp_rng,
     )
     edns = draw_edns_size(rng, spec.edns_mix)
     # The fragmentation scan needs both fragment acceptance and an EDNS
@@ -478,10 +472,8 @@ def draw_nameserver_profile(rng: DeterministicRNG, rates: DomainRates,
 
 def draw_domain_profile(rng: DeterministicRNG, spec: DomainDatasetSpec,
                         name: str, addresses: list[str],
-                        rates: DomainRates | None = None) -> DomainProfile:
+                        rates: DomainRates) -> DomainProfile:
     """Draw one calibrated domain with ``len(addresses)`` nameservers."""
-    if rates is None:
-        rates = domain_rates(spec)
     nameservers = [draw_nameserver_profile(rng, rates, address)
                    for address in addresses]
     return DomainProfile(
@@ -491,100 +483,35 @@ def draw_domain_profile(rng: DeterministicRNG, spec: DomainDatasetSpec,
     )
 
 
-class PopulationGenerator:
-    """Draws calibrated resolver/domain populations (seeded)."""
-
-    def __init__(self, seed: int | str = 0, scale: float = 0.01):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.rng = DeterministicRNG(seed)
-        self.scale = scale
-        self._next_ip = 0x0B000000  # 11.0.0.0 onwards
-
-    def sample_size(self, full_size: int) -> int:
-        """How many entities to actually instantiate for a dataset."""
-        return sample_size(full_size, self.scale)
-
-    def _address(self) -> str:
-        from repro.netsim.addresses import int_to_ip
-
-        self._next_ip += 7
-        return int_to_ip(self._next_ip & 0xDFFFFFFF | 0x0B000000)
-
-    def _edns_size(self, rng: DeterministicRNG,
-                   mix: tuple[float, float, float]) -> int:
-        return draw_edns_size(rng, mix)
-
-    def resolver_population(self, spec: ResolverDatasetSpec,
-                            size: int | None = None) -> list[FrontEnd]:
-        """Generate the front-end systems (with resolvers) for a dataset."""
-        rng = self.rng.derive(f"resolvers-{spec.key}")
-        count = size if size is not None else self.sample_size(spec.full_size)
-        prefix_mix = resolver_prefix_mix(spec)
-        front_ends: list[FrontEnd] = []
-        for index in range(count):
-            resolvers = [
-                draw_resolver_profile(
-                    rng, spec, self._address(), prefix_mix=prefix_mix,
-                    icmp_rng=rng.derive(f"icmp-{index}-{sub}"),
-                )
-                for sub in range(spec.resolvers_per_frontend)
-            ]
-            front_ends.append(FrontEnd(
-                identifier=f"{spec.key}-{index}", resolvers=resolvers,
-            ))
-        return front_ends
-
-    def domain_population(self, spec: DomainDatasetSpec,
-                          size: int | None = None) -> list[DomainProfile]:
-        """Generate the domains (with nameservers) for a dataset."""
-        rng = self.rng.derive(f"domains-{spec.key}")
-        count = size if size is not None else self.sample_size(spec.full_size)
-        rates = domain_rates(spec)
-        return [
-            draw_domain_profile(
-                rng, spec, f"{spec.key}-{index}.example",
-                [self._address() for _ns in range(spec.ns_per_domain)],
-                rates=rates,
-            )
-            for index in range(count)
-        ]
+# The §5.2.2 record-type study: 47% of Alexa nameservers sit in a /24.
+RECORD_TYPE_PREFIX_MIX = _prefix_length_distribution(0.47)
 
 
-    def alexa_nameserver_population(self, count: int = 4000
-                                    ) -> list[DomainProfile]:
-        """The §5.2.2 record-type study population (Alexa-1M nameservers).
+def draw_record_type_domain(rng: DeterministicRNG, name: str,
+                            address: str) -> DomainProfile:
+    """Draw one domain of the §5.2.2 record-type study (Alexa-1M).
 
-        Calibration: 20.5% of nameservers honour PMTUD; minimum fragment
-        sizes split 7% / 83% / 10% across 292 / 548 / 1280 bytes
-        (Figure 4); base A-response sizes are drawn wide enough that ANY
-        responses almost always exceed the floor while plain A responses
-        almost never do — reproducing the 19.5% / 0.29% / 0.44% / >10%
-        pattern for ANY / A / MX / bloated queries.
-        """
-        rng = self.rng.derive("alexa-ns")
-        domains = []
-        for index in range(count):
-            honours = rng.chance(0.205)
-            nameservers = [NameserverProfile(
-                address=self._address(),
-                asn=rng.randint(1, 60_000),
-                prefix_length=_draw_from_mix(
-                    rng, _prefix_length_distribution(0.47)),
-                honours_ptb=honours,
-                min_frag_size=(
-                    rng.choice(MIN_FRAG_CHOICES) if honours else 1500
-                ),
-                rrl_enabled=rng.chance(0.18),
-                ipid_global=honours and rng.chance(0.25),
-                supports_any=rng.chance(0.95),
-                base_response_size=max(60, int(rng.gauss(230, 75))),
-            )]
-            domains.append(DomainProfile(
-                name=f"alexa-{index}.example", nameservers=nameservers,
-                signed=rng.chance(0.02),
-            ))
-        return domains
+    Calibration: 20.5% of nameservers honour PMTUD; minimum fragment
+    sizes split 7% / 83% / 10% across 292 / 548 / 1280 bytes
+    (Figure 4); base A-response sizes are drawn wide enough that ANY
+    responses almost always exceed the floor while plain A responses
+    almost never do — reproducing the 19.5% / 0.29% / 0.44% / >10%
+    pattern for ANY / A / MX / bloated queries.
+    """
+    honours = rng.chance(0.205)
+    nameserver = NameserverProfile(
+        address=address,
+        asn=rng.randint(1, 60_000),
+        prefix_length=_draw_from_mix(rng, RECORD_TYPE_PREFIX_MIX),
+        honours_ptb=honours,
+        min_frag_size=rng.choice(MIN_FRAG_CHOICES) if honours else 1500,
+        rrl_enabled=rng.chance(0.18),
+        ipid_global=honours and rng.chance(0.25),
+        supports_any=rng.chance(0.95),
+        base_response_size=max(60, int(rng.gauss(230, 75))),
+    )
+    return DomainProfile(name=name, nameservers=[nameserver],
+                         signed=rng.chance(0.02))
 
 
 def _per_item_rate(aggregate: float, n: int) -> float:

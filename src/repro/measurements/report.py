@@ -1,13 +1,12 @@
 """Rendering helpers: ASCII tables, CDF series, Venn counts.
 
 The experiment modules produce structured rows; these helpers turn them
-into the text the benches print, and compute the derived series the
-figures need (CDFs for Figure 3/4, three-set Venn regions for Figure 5).
+into text, and compute the derived series the figures need (CDFs for
+Figure 4, three-set Venn regions for Figure 5).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 
@@ -48,23 +47,6 @@ def cdf_series(values: list[int | float],
             index += 1
         series.append((float(point), index / total))
     return series
-
-
-def render_cdf(series: list[tuple[float, float]], label: str,
-               width: int = 50) -> str:
-    """A crude ASCII plot of one CDF."""
-    lines = [f"CDF: {label}"]
-    for x, y in series:
-        bar = "#" * int(y * width)
-        lines.append(f"  {x:>8.0f} | {bar} {y * 100:5.1f}%")
-    return "\n".join(lines)
-
-
-def histogram(values: list[int]) -> dict[int, float]:
-    """Relative frequency of each distinct value."""
-    counts = Counter(values)
-    total = sum(counts.values())
-    return {value: count / total for value, count in sorted(counts.items())}
 
 
 @dataclass
@@ -109,25 +91,6 @@ class VennCounts:
             ["total vulnerable", str(self.total)],
         ]
         return render_table(["region", "count"], rows, title=title)
-
-
-def venn_from_flags(flags: list[tuple[bool, bool, bool]],
-                    labels: tuple[str, str, str] = ("HijackDNS", "SadDNS",
-                                                    "FragDNS")) -> VennCounts:
-    """Region counts from per-entity (A, B, C) vulnerability flags."""
-    regions = Counter()
-    for a, b, c in flags:
-        regions[(a, b, c)] += 1
-    return VennCounts(
-        only_a=regions[(True, False, False)],
-        only_b=regions[(False, True, False)],
-        only_c=regions[(False, False, True)],
-        ab=regions[(True, True, False)],
-        ac=regions[(True, False, True)],
-        bc=regions[(False, True, True)],
-        abc=regions[(True, True, True)],
-        labels=labels,
-    )
 
 
 def scale_count(sampled_count: int, sampled_size: int,

@@ -1,6 +1,8 @@
 """Tests for the attack-surface atlas: synthesis determinism, shard
 algebra, the persistent store, resume, and the calibration bridge."""
 
+from collections import Counter
+
 import pytest
 
 from repro.atlas.aggregate import ScanAggregate, stratum_key
@@ -372,29 +374,41 @@ class TestExperimentIntegration:
 
         result = table3.run(scale=0.005)
         assert len(result.rows) == 9
-        assert set(result.data["populations"]) == \
-            {spec.key for spec in RESOLVER_DATASETS}
-        # Populations are real entity lists (Figure 3/5 contract).
-        open_population = result.data["populations"]["open"]
-        assert open_population[0].resolvers[0].address
+        reports = result.data["reports"]
+        assert set(reports) == {spec.key for spec in RESOLVER_DATASETS}
+        # Sampled reports carry the strata Figure 5 reads.
+        open_report = reports["open"]
+        assert sum(open_report.aggregate.strata.values()) == \
+            open_report.entities == result.data["summaries"]["open"].size
 
-    def test_sampled_populations_are_the_scanned_entities(self):
-        # The entity lists the figures read are exactly the atlas
-        # stream the summaries were scanned from: same identifiers, in
-        # index order, one per scanned entity.
-        from repro.experiments import table3, table4
+    @pytest.mark.parametrize("seed", range(3))
+    def test_figure5_venn_matches_scalar_fold(self, seed):
+        # Figure 5 reads the strata the sampled scans fold through the
+        # vector kernel; the reference folds the same atlas streams
+        # entity by entity through ScanAggregate.observe.
+        from repro.experiments import figure5
+        from repro.measurements.population import sample_size
 
-        for result, datasets, ident in (
-                (table3.run(seed=3, scale=0.005), RESOLVER_DATASETS,
-                 lambda entity: entity.identifier),
-                (table4.run(seed=3, scale=0.005), DOMAIN_DATASETS,
-                 lambda entity: entity.name)):
+        scale = 0.005
+        result = figure5.run(seed=seed, scale=scale)
+        for datasets, venn in (
+                (RESOLVER_DATASETS, result.data["resolver_venn_sampled"]),
+                (DOMAIN_DATASETS, result.data["domain_venn_sampled"])):
+            strata = Counter()
             for spec in datasets:
-                population = result.data["populations"][spec.key]
-                size = result.data["summaries"][spec.key].size
-                expected = iter_entities(spec, seed=3, lo=0, hi=size)
-                assert [ident(e) for e in population] == \
-                    [ident(e) for e in expected], spec.key
+                reference = ScanAggregate(kind=dataset_kind(spec))
+                for entity in iter_entities(
+                        spec, seed=seed, lo=0,
+                        hi=sample_size(spec.full_size, scale)):
+                    reference.observe(entity)
+                strata.update(reference.strata)
+            assert (venn.only_a, venn.only_b, venn.only_c, venn.ab,
+                    venn.ac, venn.bc, venn.abc) == tuple(
+                strata[stratum_key(*flags)] for flags in (
+                    (True, False, False), (False, True, False),
+                    (False, False, True), (True, True, False),
+                    (True, False, True), (False, True, True),
+                    (True, True, True)))
 
     def test_table3_full_small_cap(self):
         from repro.experiments import table3

@@ -1,7 +1,8 @@
 """Tests for populations, scanners and the measurement helpers."""
 
-import pytest
-
+from repro.atlas.pipeline import scan_dataset
+from repro.atlas.shards import find_dataset
+from repro.atlas.synth import iter_entities, iter_record_type_domains
 from repro.core.rng import DeterministicRNG
 from repro.measurements.misc import (
     assign_cached_apps,
@@ -11,50 +12,44 @@ from repro.measurements.misc import (
     probe_shared_caches,
 )
 from repro.measurements.population import (
-    DOMAIN_DATASETS,
     IcmpBehaviour,
-    PopulationGenerator,
-    RESOLVER_DATASETS,
     _per_item_rate,
+    sample_size,
 )
 from repro.measurements.report import (
+    VennCounts,
     cdf_series,
-    histogram,
     render_table,
     scale_count,
-    venn_from_flags,
 )
-from repro.measurements.scanner import (
-    harvest_edns_sizes,
-    harvest_prefix_lengths,
-    scan_domain,
-    scan_front_end,
-    scan_saddns,
-    summarise_domain_scan,
-    summarise_resolver_scan,
-)
+from repro.measurements.scanner import scan_saddns
 from repro.measurements.simulate_hijack import (
     nameserver_concentration,
     simulate_sameprefix_hijacks,
 )
 
+SEED = 77
 
-@pytest.fixture(scope="module")
-def generator():
-    return PopulationGenerator(seed=77, scale=0.01)
+
+def population(key: str, size: int) -> list:
+    """The first ``size`` entities of one dataset's atlas stream."""
+    return list(iter_entities(find_dataset(key), seed=SEED, lo=0, hi=size))
+
+
+def scan(key: str, size: int):
+    return scan_dataset(find_dataset(key), seed=SEED, entities=size,
+                        shards=1, executor="serial")
 
 
 class TestPopulationGeneration:
-    def test_sample_size_scaling(self, generator):
-        assert generator.sample_size(1_000_000) == 10_000
-        assert generator.sample_size(10) == 10
-        assert generator.sample_size(3000) >= 30
+    def test_sample_size_scaling(self):
+        assert sample_size(1_000_000, 0.01) == 10_000
+        assert sample_size(10, 0.01) == 10
+        assert sample_size(3000, 0.01) >= 30
 
     def test_deterministic_populations(self):
-        a = PopulationGenerator(seed=5).resolver_population(
-            RESOLVER_DATASETS[7], size=50)
-        b = PopulationGenerator(seed=5).resolver_population(
-            RESOLVER_DATASETS[7], size=50)
+        a = population("open", 50)
+        b = population("open", 50)
         assert [r.resolvers[0].address for r in a] == \
             [r.resolvers[0].address for r in b]
 
@@ -63,22 +58,17 @@ class TestPopulationGeneration:
         assert abs((1 - (1 - rate) ** 2) - 0.5) < 1e-9
         assert _per_item_rate(0.3, 1) == 0.3
 
-    def test_calibration_recovered_by_scan(self, generator):
+    def test_calibration_recovered_by_scan(self):
         """The scanner must re-measure the calibrated rates."""
-        spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        population = generator.resolver_population(spec, size=4000)
-        results = [scan_front_end(f) for f in population]
-        summary = summarise_resolver_scan(spec.label, spec.full_size,
-                                          results)
+        spec = find_dataset("open")
+        summary = scan("open", 4000).summary
         assert abs(summary.pct("hijack") - spec.expected_hijack) < 5
         assert abs(summary.pct("saddns") - spec.expected_saddns) < 4
         assert abs(summary.pct("frag") - spec.expected_frag) < 5
 
-    def test_domain_calibration_recovered(self, generator):
-        spec = next(s for s in DOMAIN_DATASETS if s.key == "alexa")
-        population = generator.domain_population(spec, size=4000)
-        results = [scan_domain(d) for d in population]
-        summary = summarise_domain_scan(spec.label, spec.full_size, results)
+    def test_domain_calibration_recovered(self):
+        spec = find_dataset("alexa")
+        summary = scan("alexa", 4000).summary
         assert abs(summary.pct("hijack") - spec.expected_hijack) < 6
         assert abs(summary.pct("frag_any") - spec.expected_frag_any) < 4
 
@@ -99,37 +89,31 @@ class TestIcmpBehaviourScan:
                                   rng=DeterministicRNG(1))
         assert behaviour.errors_for_burst(51) == 51
 
-    def test_scan_skips_unreachable(self, generator):
-        spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        population = generator.resolver_population(spec, size=300)
+    def test_scan_skips_unreachable(self):
         dead = [
-            r for f in population for r in f.resolvers if not r.reachable
+            r for f in population("open", 300)
+            for r in f.resolvers if not r.reachable
         ]
         assert dead  # the open dataset models stale Censys entries
         assert all(not scan_saddns(r) for r in dead)
 
 
 class TestMiscMeasurements:
-    def test_shared_cache_probe(self, generator):
-        spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        population = generator.resolver_population(spec, size=2000)
-        assign_cached_apps(population, seed=3, share_rate=0.69)
-        measured = probe_shared_caches(population)
+    def test_shared_cache_probe(self):
+        open_population = population("open", 2000)
+        assign_cached_apps(open_population, seed=3, share_rate=0.69)
+        measured = probe_shared_caches(open_population)
         assert abs(measured - 0.69) < 0.05
 
-    def test_forwarder_coverage(self, generator):
-        open_spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        adnet_spec = next(s for s in RESOLVER_DATASETS
-                          if s.key == "ad-net")
-        open_population = generator.resolver_population(open_spec,
-                                                        size=1500)
-        clients = generator.resolver_population(adnet_spec, size=800)
+    def test_forwarder_coverage(self):
+        open_population = population("open", 1500)
+        clients = population("ad-net", 800)
         assign_forwarders(open_population, clients, seed=4, coverage=0.79)
         measured = measure_forwarder_coverage(open_population, clients)
         assert abs(measured - 0.79) < 0.05
 
-    def test_record_type_rates_ordering(self, generator):
-        domains = generator.alexa_nameserver_population(count=3000)
+    def test_record_type_rates_ordering(self):
+        domains = list(iter_record_type_domains(SEED, 0, 3000))
         rates = measure_record_type_rates(domains)
         assert rates.any_rate > rates.bloated_rate
         assert rates.bloated_rate > rates.mx_rate >= 0
@@ -161,29 +145,26 @@ class TestReportHelpers:
         assert values == sorted(values)
         assert values[-1] == 1.0
 
-    def test_histogram_sums_to_one(self):
-        mix = histogram([1, 1, 2, 3])
+    def test_histogram_fractions_sum_to_one(self):
+        mix = scan("open", 300).aggregate.histogram_fractions("prefix_length")
         assert abs(sum(mix.values()) - 1.0) < 1e-9
-        assert mix[1] == 0.5
+        assert list(mix) == sorted(mix)
 
     def test_venn_regions(self):
-        venn = venn_from_flags([
-            (True, False, False), (True, True, False),
-            (True, True, True), (False, False, True),
-        ])
-        assert venn.only_a == 1 and venn.ab == 1 and venn.abc == 1
-        assert venn.only_c == 1
+        venn = VennCounts(only_a=1, only_b=0, only_c=1, ab=1, ac=0, bc=0,
+                          abc=1)
         assert venn.total == 4
         assert venn.set_total("HijackDNS") == 3
+        assert venn.set_total("SadDNS") == 2
+        assert venn.set_total("FragDNS") == 2
 
     def test_scale_count(self):
         assert scale_count(5, 100, 1000) == 50
         assert scale_count(5, 0, 1000) == 0
 
-    def test_harvests(self, generator):
-        spec = next(s for s in RESOLVER_DATASETS if s.key == "open")
-        population = generator.resolver_population(spec, size=300)
-        sizes = harvest_edns_sizes(population)
-        assert sizes and all(s >= 512 for s in sizes)
-        lengths = harvest_prefix_lengths(population)
+    def test_scan_histograms(self):
+        histograms = scan("open", 300).aggregate.histograms
+        sizes = histograms["edns_size"]
+        assert sizes and all(size >= 512 for size in sizes)
+        lengths = histograms["prefix_length"]
         assert lengths and all(11 <= length <= 24 for length in lengths)
